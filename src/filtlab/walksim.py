@@ -11,6 +11,13 @@ Because labels only depend on the first min(m, n) symbols of a word, levels
 below that depth carry constant labels and the distance collapses to the
 truncated tree: everything here materializes min(m, n) levels regardless of n.
 
+The scenery reader steps all r^j walk positions of a level at once as int64
+arrays (lattice coordinates, Heisenberg triples, free-group words as popped
+tail letters plus a coded suffix) and asks the scenery once per distinct
+element.  Depth-n bits are a prefix of depth-(n+1) bits, so
+:func:`mean_distance_profile` reads each point once, at height min(m, n_max),
+and its shallower engines slice those bits.
+
 Two distance paths exist: :func:`pair_distance` delegates to a vectorized
 engine that canonicalizes subtree read-patterns level by level and solves the
 child assignments in bulk; the generic recursive `treewalk.tree_distance` on
@@ -31,7 +38,7 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import SizeCapError, StructuralError
-from .groups import GroupElement, GroupSpec, Scenery, identity, multiply, symbol_element
+from .groups import GroupElement, GroupSpec, Scenery, _philox, identity, symbol_element
 from .mmspace import SemimetricMatrix
 from .treewalk import TreeLeafSystem
 
@@ -73,25 +80,111 @@ def hamming_base(n_bits: int) -> SemimetricMatrix:
 
 def _read_bits(spec: GroupSpec, point: WalkPoint, depth: int) -> list[np.ndarray]:
     """Scenery bits after every prefix: bits[j-1][i] is the bit read at the
-    i-th length-j word (lexicographic), starting from the tail position."""
-    r = spec.alphabet_size
-    steps = [symbol_element(spec, s) for s in range(r)]
+    i-th length-j word (lexicographic), starting from the tail position.
+
+    All r^j positions of level j are stepped at once as int64 rows (children
+    of row i are rows i*r .. i*r + r-1).  Every row of every level gets one
+    int64 key, and the scenery is asked once per distinct key, its bit then
+    scattered back to all rows holding that element.  The bits are those of
+    stepping word by word with `multiply`, for far fewer hashes, because
+    walk words revisit elements.
+    """
+    if depth < 1:
+        return []
+    if spec.kind == "free":
+        levels, elements = _free_levels(spec, point.tail_position.data, depth)
+    else:
+        levels, elements = _additive_levels(spec, point.tail_position.data, depth)
+    rows = np.concatenate(levels)
+    _, first, inverse = np.unique(_row_keys(rows), return_index=True, return_inverse=True)
     scenery = point.scenery
-    bits: list[np.ndarray] = []
-    prev = [point.tail_position]
-    for j in range(1, depth + 1):
-        cur = []
-        values = np.empty(r**j, dtype=np.uint8)
-        idx = 0
-        for parent in prev:
-            for st in steps:
-                child = multiply(parent, st)
-                cur.append(child)
-                values[idx] = scenery.value(child)
-                idx += 1
-        bits.append(values)
-        prev = cur
-    return bits
+    distinct = [scenery.value(GroupElement(spec, data)) for data in elements(rows[first])]
+    values = np.array(distinct, dtype=np.uint8)[inverse]
+    return np.split(values, np.cumsum([len(level) for level in levels[:-1]]))
+
+
+def _additive_levels(spec: GroupSpec, tail: tuple, depth: int):
+    """Lattice and Heisenberg levels: each row is the element's coordinates.
+
+    A step adds the symbol's generator, plus a*b' on the central coordinate
+    of the Heisenberg group.  Tail coordinates are capped at 2^40 so that no
+    walk of feasible depth leaves int64."""
+    if max(map(abs, tail)) >= 1 << 40:
+        raise SizeCapError("tail coordinates of 2^40 or more exceed the int64 reader")
+    r = spec.alphabet_size
+    steps = np.array([symbol_element(spec, s).data for s in range(r)], dtype=np.int64)
+    cur = np.array([tail], dtype=np.int64)
+    levels = []
+    for _ in range(depth):
+        parents = np.repeat(cur, r, axis=0)
+        cur = parents + np.tile(steps, (len(parents) // r, 1))
+        if spec.kind == "heisenberg":
+            cur[:, 2] += parents[:, 0] * np.tile(steps[:, 1], len(parents) // r)
+        levels.append(cur)
+    return levels, lambda rows: map(tuple, rows.tolist())
+
+
+def _free_levels(spec: GroupSpec, tail: tuple, depth: int):
+    """Free-group levels: each row is (popped, code).
+
+    The reduced word is the tail with its last `popped` letters removed,
+    followed by a suffix coded in base 2s+1 with digit sym+1 per walk symbol
+    (generators 1..s, inverses s+1..2s; 0 marks no letter).  Stepping by a
+    symbol pops the last letter when the symbol is its inverse and appends
+    otherwise.  Only the last `depth` tail letters can be popped, so the rows
+    do not grow with the tail: a level-j row has popped <= j and
+    code < (2s+1)^j, which fits int64 long before (2s)^j rows fit in memory.
+    """
+    s, r = spec.s, spec.alphabet_size
+    base = r + 1
+    digit_of = {g: g if g > 0 else s - g for g in range(-s, s + 1) if g}
+    # tail_digits[k]: digit of the last letter once k have been popped; 0 if none is left
+    tail_digits = np.array([digit_of[g] for g in reversed(tail[-depth:])] + [0], dtype=np.int64)
+    digits = np.arange(1, r + 1, dtype=np.int64)
+    inverse_digits = np.where(digits > s, digits - s, digits + s)
+    popped = np.zeros(1, dtype=np.int64)
+    code = np.zeros(1, dtype=np.int64)
+    levels = []
+    for _ in range(depth):
+        last = np.repeat(np.where(code > 0, code % base, tail_digits[popped]), r)
+        popped, code = np.repeat(popped, r), np.repeat(code, r)
+        pop = last == np.tile(inverse_digits, len(code) // r)
+        popped = popped + (pop & (code == 0))
+        code = np.where(pop, code // base, code * base + np.tile(digits, len(code) // r))
+        levels.append(np.stack([popped, code], axis=1))
+
+    def elements(rows):
+        powers = base ** np.arange(depth - 1, -1, -1, dtype=np.int64)
+        suffix = (rows[:, 1:] // powers) % base  # most significant digit first, zero-padded
+        letters = np.where(suffix > s, s - suffix, suffix).tolist()
+        lengths = np.count_nonzero(suffix, axis=1).tolist()
+        for k, word, n in zip(rows[:, 0].tolist(), letters, lengths):
+            yield tail[: len(tail) - k] + tuple(word[depth - n :])
+
+    return levels, elements
+
+
+def _row_keys(rows: np.ndarray) -> np.ndarray:
+    """One int64 per row, equal exactly when the rows are equal, and ordered
+    as the rows are lexicographically.
+
+    Columns are packed in mixed radix over their ranges; a partial key or a
+    column whose range would overflow is first replaced by its ranks.
+    """
+    key = np.zeros(len(rows), dtype=np.int64)
+    size = 1
+    for col in rows.T:
+        col = col - col.min()
+        span = int(col.max()) + 1
+        if size * span >= 1 << 62:
+            key = np.unique(key, return_inverse=True)[1]
+            size = int(key.max()) + 1
+        if size * span >= 1 << 62:
+            col = np.unique(col, return_inverse=True)[1]
+            span = int(col.max()) + 1
+        key = key * span + col
+        size *= span
+    return key
 
 
 def leaf_observations(
@@ -149,6 +242,9 @@ class WalkDistanceEngine:
         self._def_bits: list[list[np.ndarray]] = [[] for _ in range(self.height + 1)]
         self._def_subs: list[list[np.ndarray]] = [[] for _ in range(self.height + 1)]
         self._profiles: dict = {}
+        # (scenery, tail) -> bits read at least `height` deep; a run of engines
+        # may share one dict, built deepest first, so each point is read once
+        self._bit_lists: dict = {}
         self._perms = [np.array(p) for p in itertools.permutations(range(self.r))]
         self._lanes = np.arange(self.r)
 
@@ -158,6 +254,7 @@ class WalkDistanceEngine:
         return (p.scenery, p.tail_position.data, p.m)
 
     def profile(self, p: WalkPoint):
+        """Per height 0..height, the sorted class ids of the point's subtrees."""
         if p.m != self.m:
             raise StructuralError(f"engine is shaped for m={self.m}, point has m={p.m}")
         key = self._point_key(p)
@@ -169,7 +266,10 @@ class WalkDistanceEngine:
 
     def _build_profile(self, p: WalkPoint):
         r = self.r
-        bits = _read_bits(self.spec, p, self.height)
+        at = (p.scenery, p.tail_position.data)
+        bits = self._bit_lists.get(at)
+        if bits is None:
+            bits = self._bit_lists[at] = _read_bits(self.spec, p, self.height)
         cls = np.zeros(r**self.height, dtype=np.int64)  # height 0: one class
         if not self._def_bits[0]:
             self._def_bits[0].append(np.zeros(0, dtype=np.int64))
@@ -180,10 +280,12 @@ class WalkDistanceEngine:
             big = int(cls.max()) + 2
             key = child_bits * big + cls
             key = np.sort(key.reshape(-1, r), axis=1)
-            rows = np.empty((key.shape[0], 2 * r), dtype=np.int64)
-            rows[:, 0::2] = key // big
-            rows[:, 1::2] = key % big
-            uniq_rows, inverse = np.unique(rows, axis=0, return_inverse=True)
+            # _row_keys keeps the lexicographic row order, so classes are
+            # interned in the same order as by sorting the rows themselves
+            _, first, inverse = np.unique(_row_keys(key), return_index=True, return_inverse=True)
+            uniq_rows = np.empty((len(first), 2 * r), dtype=np.int64)
+            uniq_rows[:, 0::2] = key[first] // big
+            uniq_rows[:, 1::2] = key[first] % big
             table = self._tables[h]
             ids = np.empty(len(uniq_rows), dtype=np.int64)
             for t, row in enumerate(uniq_rows):
@@ -198,7 +300,7 @@ class WalkDistanceEngine:
             cls = ids[inverse]
             uniq_per_height.append(np.unique(cls))
         assert cls.shape == (1,)
-        return _TreeProfile(uniq_per_height=uniq_per_height, root=int(cls[0]))
+        return uniq_per_height
 
     def distance(self, px: WalkPoint, py: WalkPoint) -> float:
         """Iterated distance at depth n between two walk points."""
@@ -208,8 +310,8 @@ class WalkDistanceEngine:
         lut_x = np.zeros(1, dtype=np.int64)
         lut_y = np.zeros(1, dtype=np.int64)
         for h in range(1, self.height + 1):
-            ux = pa.uniq_per_height[h]
-            uy = pb.uniq_per_height[h]
+            ux = pa[h]
+            uy = pb[h]
             lx, ly = w.shape
             ext = np.block([[w, w + 1.0], [w + 1.0, w]])
             def_bits = self._def_bits[h]
@@ -238,12 +340,6 @@ class WalkDistanceEngine:
                 best = cost if best is None else np.minimum(best, cost)
             out[start:end] = best
         return out
-
-
-@dataclass
-class _TreeProfile:
-    uniq_per_height: list
-    root: int
 
 
 def pair_distance(
@@ -279,12 +375,9 @@ def identity_matching_average(
 # ---------------------------------------------------------------------------
 
 
-def _pair_seeds(master_seed: int, index: int) -> tuple[int, int]:
-    gen = np.random.Generator(
-        np.random.Philox(key=((master_seed & 0xFFFFFFFFFFFFFFFF) << 64) | (index & 0xFFFFFFFFFFFFFFFF))
-    )
-    a, b = gen.integers(1, 1 << 62, size=2)
-    return int(a), int(b)
+def _pair_seeds(master_seed: int, count: int) -> list[tuple[int, int]]:
+    """Two scenery seeds per index, from the Philox stream (master_seed, index)."""
+    return [tuple(_philox(master_seed, i).integers(1, 1 << 62, size=2).tolist()) for i in range(count)]
 
 
 def _run_indexed(fn, count: int, workers: int) -> np.ndarray:
@@ -325,19 +418,18 @@ def mean_distance_profile(
     (left-invariance of the construction justifies fixing the tail).  With
     m=None the observation depth tracks n.
     """
+    seeds = _pair_seeds(master_seed, pairs)
+    bit_lists: dict = {}
     estimates = []
     point_pairs: dict = {}
-    for n in range(1, n_max + 1):
+    # deepest first: that engine reads each point at height min(m, n_max) and
+    # the shallower ones slice its bits through the shared `bit_lists`
+    for n in range(n_max, 0, -1):
         m_n = n if m is None else m
         engine = WalkDistanceEngine(spec, n, m_n, leaf_cap)
+        engine._bit_lists = bit_lists
         if m_n not in point_pairs:
-            point_pairs[m_n] = [
-                (
-                    walk_point(spec, _pair_seeds(master_seed, i)[0], m_n),
-                    walk_point(spec, _pair_seeds(master_seed, i)[1], m_n),
-                )
-                for i in range(pairs)
-            ]
+            point_pairs[m_n] = [(walk_point(spec, a, m_n), walk_point(spec, b, m_n)) for a, b in seeds]
         pts = point_pairs[m_n]
         for px, py in pts:
             engine.profile(px)
@@ -350,7 +442,7 @@ def mean_distance_profile(
                 n=n, m=m_n, mean=mean, ci_low=mean - half, ci_high=mean + half, pairs=pairs
             )
         )
-    return estimates
+    return estimates[::-1]
 
 
 def wilson_interval(successes: int, trials: int, z: float = 1.96) -> tuple[float, float]:
@@ -389,7 +481,7 @@ def ball_measure_estimate(
     if samples < 100:
         raise StructuralError("ball measure estimates need at least 100 samples")
     engine = WalkDistanceEngine(spec, n, p.m, leaf_cap)
-    others = [walk_point(spec, _pair_seeds(master_seed, i)[0], p.m) for i in range(samples)]
+    others = [walk_point(spec, a, p.m) for a, _ in _pair_seeds(master_seed, samples)]
     engine.profile(p)
     for q in others:
         engine.profile(q)
@@ -422,7 +514,7 @@ def sample_distance_matrix(
     Monte Carlo stand-in for the level-n metric-measure space.
     """
     engine = WalkDistanceEngine(spec, n, m, leaf_cap)
-    pts = [walk_point(spec, _pair_seeds(master_seed, i)[0], m) for i in range(points)]
+    pts = [walk_point(spec, a, m) for a, _ in _pair_seeds(master_seed, points)]
     for p in pts:
         engine.profile(p)
     index_pairs = [(i, j) for i in range(points) for j in range(i + 1, points)]

@@ -1,3 +1,4 @@
+import hashlib
 import json
 from pathlib import Path
 
@@ -54,6 +55,51 @@ class TestConfigValidation:
         cfg["walk"] = {"n_max": 9, "m": 9, "pairs": 4, "leaf_cap": 1024}
         path = write_config(tmp_path, cfg)
         assert main(["run", str(path), "--out-dir", str(tmp_path)]) == 2
+
+
+# sha256 of (CSV, JSON) recorded with the element-at-a-time scenery reader;
+# any faster path must keep every result byte.  The JSON meta carries
+# filtlab.__version__, so a version bump re-records these.
+PINNED_RESULTS = [
+    (
+        "z1_standardness",  # demos/configs/z1_standardness.json as it stands
+        None,
+        "4b7b9b74402325e596b5b8f434f6a8e4332687f644d62dc9a5f02f97d263c6f5",
+        "c1e0069165d8fc0af963667927896bd20229523d65063e159875f743792169d6",
+    ),
+    (
+        "f2_small",
+        {"group": {"kind": "free", "s": 2}, "walk": {"n_max": 5, "m": 4, "pairs": 12}, "seed": 31},
+        "bdcf2db2102a07a0911da347c23842390e32a0ff6937899c64ace49769cce66d",
+        "697e82c042ebca60443f1cf27018e988288d9a1e4e87c77febe8b189f6b17419",
+    ),
+    (
+        "z2_small",
+        {"group": {"kind": "lattice", "d": 2}, "walk": {"n_max": 5, "pairs": 12}, "seed": 32},
+        "c0bdcac307b2112e7a745edf71471673bd495bae4795f8a4c66a29757721ce5c",
+        "02a868871376cb79e6e4115435d01dc2a8bf66426ef1c7a1ca032f6af6772257",
+    ),
+    (
+        "heisenberg_small",
+        {"group": {"kind": "heisenberg"}, "walk": {"n_max": 4, "m": 4, "pairs": 12}, "seed": 33},
+        "a2f19c83d4492e6c11d789c0a03ca517fb95528137c56ee2cab7ba5891aecdc4",
+        "5d90f3329b2aa53f0f662c579d0a9f8152fc633c7cbe586423c653f14bb336c1",
+    ),
+]
+
+
+class TestResultBytes:
+    @pytest.mark.parametrize(
+        "name,overrides,csv_sha,json_sha", PINNED_RESULTS, ids=[p[0] for p in PINNED_RESULTS]
+    )
+    def test_standardness_bytes_pinned(self, tmp_path, name, overrides, csv_sha, json_sha):
+        if overrides is None:
+            cfg = load_config(str(CONFIG_DIR / f"{name}.json"))
+        else:
+            cfg = small_standardness_config(**overrides, output={"basename": name})
+        csv_path, json_path = run_experiment(cfg, out_dir=str(tmp_path))
+        assert hashlib.sha256(csv_path.read_bytes()).hexdigest() == csv_sha
+        assert hashlib.sha256(json_path.read_bytes()).hexdigest() == json_sha
 
 
 class TestRun:

@@ -7,6 +7,7 @@ from filtlab.groups import (
     DictScenery,
     GroupElement,
     GroupSpec,
+    Scenery,
     identity,
     inverse,
     multiply,
@@ -17,6 +18,8 @@ from filtlab.treewalk import tree_distance
 from filtlab.walksim import (
     WalkDistanceEngine,
     WalkPoint,
+    _read_bits,
+    _row_keys,
     ball_measure_estimate,
     hamming_base,
     identity_matching_average,
@@ -48,6 +51,87 @@ def random_dict_scenery(spec, rng, radius=6):
                     nxt.append(child)
         frontier = nxt
     return DictScenery({k: int(rng.integers(0, 2)) for k in seen})
+
+
+def scalar_levels(spec, tail, depth):
+    """Reference walk: every level's elements, stepped one at a time with multiply."""
+    steps = [symbol_element(spec, s) for s in range(spec.alphabet_size)]
+    levels, prev = [], [tail]
+    for _ in range(depth):
+        prev = [multiply(parent, st) for parent in prev for st in steps]
+        levels.append(prev)
+    return levels
+
+
+def scalar_read_bits(scenery, levels):
+    return [np.array([scenery.value(e) for e in level], dtype=np.uint8) for level in levels]
+
+
+def free_tail(spec, length):
+    """A reduced free-group word of the given length (no cancellation)."""
+    letters = [1, spec.s] if spec.s > 1 else [1]
+    return GroupElement(spec, tuple(letters[i % len(letters)] for i in range(length)))
+
+
+READER_CASES = [
+    (Z1, 8),
+    (Z2, 8),
+    (GroupSpec.lattice(3), 6),
+    (GroupSpec.free(1), 8),
+    (F2, 8),
+    (GroupSpec.free(3), 5),
+    (HEIS, 8),
+    (GroupSpec.lattice(40), 2),  # 5^40 > 2^63: the row keys fall back to ranks
+]
+
+
+class TestArrayReader:
+    @pytest.mark.parametrize(
+        "spec,depth", READER_CASES, ids=[f"{s.describe()}-{d}" for s, d in READER_CASES]
+    )
+    def test_bitwise_equal_to_scalar_reference(self, spec, depth):
+        rng = np.random.default_rng(depth * 31 + spec.alphabet_size)
+        walked = identity(spec)
+        for sym in rng.integers(0, spec.alphabet_size, size=depth + 3):
+            walked = multiply(walked, symbol_element(spec, int(sym)))
+        tails = [identity(spec), walked]
+        if spec.kind == "free":
+            tails += [free_tail(spec, depth + 3), free_tail(spec, 1)]
+        for tail in tails:
+            levels = scalar_levels(spec, tail, depth)
+            dict_scenery = DictScenery(
+                {e.data: int(rng.integers(0, 2)) for level in levels for e in level[::3]},
+                default=1,
+            )
+            for scenery in (Scenery(int(rng.integers(1, 1 << 62))), dict_scenery):
+                got = _read_bits(spec, WalkPoint(scenery, tail, 1), depth)
+                want = scalar_read_bits(scenery, levels)
+                assert len(got) == depth
+                for g, w in zip(got, want):
+                    assert g.dtype == np.uint8
+                    assert np.array_equal(g, w)
+
+    def test_row_keys_follow_lexicographic_row_order(self):
+        # interning relies on the keys sorting rows as np.unique(axis=0) does
+        rng = np.random.default_rng(5)
+        big = 1 << 32
+        for rows in (
+            rng.integers(-3, 4, size=(200, 5)),
+            # wrapping arithmetic would give (1, 0, 0) and (0, 1, 2^32) one key
+            np.array([[1, 0, 0], [0, 1, big], [0, big, 0], [1, 0, 0]]),
+            rng.integers(0, 1 << 40, size=(50, 3)),
+        ):
+            keys = _row_keys(rows)
+            _, first = np.unique(keys, return_index=True)
+            assert np.array_equal(rows[first], np.unique(rows, axis=0))
+
+    def test_far_tail_refused(self):
+        far = GroupElement(HEIS, (1 << 40, 0, 0))
+        with pytest.raises(SizeCapError):
+            _read_bits(HEIS, WalkPoint(Scenery(1), far, 1), 2)
+
+    def test_depth_zero_reads_nothing(self):
+        assert _read_bits(F2, walk_point(F2, 1, 1), 0) == []
 
 
 class TestLeafObservations:
@@ -233,6 +317,25 @@ class TestMonteCarloDrivers:
         estimates = mean_distance_profile(Z1, n_max=4, pairs=60, master_seed=123)
         for a, b in zip(estimates, estimates[1:]):
             assert b.mean <= a.mean + (a.ci_high - a.ci_low) + (b.ci_high - b.ci_low)
+
+    @pytest.mark.parametrize("m", [4, None])
+    def test_mean_profile_equals_fresh_engines(self, m):
+        # shared reads across n must give what per-n engines built from
+        # scratch give, with the pair seeds drawn from Philox (seed, index)
+        n_max, pairs, seed = 5, 6, 17
+        estimates = mean_distance_profile(F2, n_max=n_max, m=m, pairs=pairs, master_seed=seed)
+        assert [e.n for e in estimates] == list(range(1, n_max + 1))
+        for e in estimates:
+            m_n = e.n if m is None else m
+            engine = WalkDistanceEngine(F2, e.n, m_n)
+            values = []
+            for i in range(pairs):
+                gen = np.random.Generator(np.random.Philox(key=(seed << 64) | i))
+                a, b = gen.integers(1, 1 << 62, size=2)
+                values.append(engine.distance(walk_point(F2, int(a), m_n), walk_point(F2, int(b), m_n)))
+            mean = float(np.mean(values))
+            half = 1.96 * float(np.std(values, ddof=1)) / np.sqrt(pairs)
+            assert (e.m, e.mean, e.ci_low, e.ci_high) == (m_n, mean, mean - half, mean + half)
 
     def test_profile_deterministic_across_workers(self):
         one = mean_distance_profile(Z1, n_max=3, pairs=40, master_seed=9, workers=1)
