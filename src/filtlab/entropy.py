@@ -30,17 +30,12 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DomainError, InsufficientDataError, SizeCapError, StructuralError
-from .mmspace import DiscreteMeasure, SemimetricMatrix, validate_semimetric
+from .mmspace import DiscreteMeasure, SemimetricMatrix, _entropy_bits, validate_semimetric
 from .transport import kantorovich
 
 STRICT_MARGIN = 1e-12
 ORACLE_ATOM_CAP = 5
 ORACLE_GRID_STEP = 1e-3
-
-
-def _entropy_bits(w: np.ndarray) -> float:
-    w = np.sort(w[w > 0])
-    return float(-np.sum(w * np.log2(w))) if w.size else 0.0
 
 
 def binary_entropy(t: float) -> float:
@@ -94,7 +89,6 @@ def epsilon_entropy_bounds(
     d: SemimetricMatrix,
     mu: DiscreteMeasure,
     epsilon: float,
-    exact_verify: bool = True,
 ) -> EntropyBounds:
     """Certified (lower, upper) bracket in bits for the epsilon-entropy.
 
@@ -102,9 +96,8 @@ def epsilon_entropy_bounds(
     cell partitions (zero-distance classes plus every farthest-point Voronoi
     prefix); because the family does not depend on epsilon and each floor is
     nonincreasing in epsilon, the reported bounds are monotone on epsilon
-    grids.  With `exact_verify` the upper-bound candidates near the
-    feasibility boundary are certified by an exact transport solve; otherwise
-    the (sufficient) one-shot push cost is used alone.
+    grids.  Upper-bound candidates near the feasibility boundary are
+    certified by an exact transport solve.
     """
     if epsilon <= 0:
         raise DomainError("epsilon must be positive")
@@ -114,7 +107,7 @@ def epsilon_entropy_bounds(
     w = mu.w
     dd = d.d
 
-    upper = _upper_bound(dd, w, mu, d, budget, exact_verify)
+    upper = _upper_bound(dd, w, mu, d, budget)
     lower = _lower_bound(dd, w, epsilon)
     clamped = lower > upper
     if clamped:
@@ -122,7 +115,7 @@ def epsilon_entropy_bounds(
     return EntropyBounds(lower=lower, upper=upper, epsilon=epsilon, clamped=clamped)
 
 
-def _upper_bound(dd, w, mu, d, budget, exact_verify) -> float:
+def _upper_bound(dd, w, mu, d, budget) -> float:
     n = len(w)
     live = np.flatnonzero(w > 0)
     best = _entropy_bits(w)  # identity quantization is always feasible
@@ -156,8 +149,6 @@ def _upper_bound(dd, w, mu, d, budget, exact_verify) -> float:
         else:
             # the push-cost bookkeeping overshoots the true transport cost, so
             # exact verification may still rescue a few more merges
-            if not exact_verify:
-                break
             borderline.append(_pushforward(w, assignment))
 
     # Voronoi aggregation onto farthest-point nets of every size
@@ -170,14 +161,13 @@ def _upper_bound(dd, w, mu, d, budget, exact_verify) -> float:
         cost = _push_cost(dd, w, full_assign)
         if cost <= budget:
             best = min(best, _entropy_bits(_pushforward(w, full_assign)))
-        elif exact_verify and cost <= budget * 3 and len(borderline) < 12:
+        elif cost <= budget * 3 and len(borderline) < 12:
             borderline.append(_pushforward(w, full_assign))
 
-    if exact_verify:
-        for lam in borderline:
-            h = _entropy_bits(lam)
-            if h < best and _verified_cost(lam, mu, d) <= budget:
-                best = h
+    for lam in borderline:
+        h = _entropy_bits(lam)
+        if h < best and _verified_cost(lam, mu, d) <= budget:
+            best = h
     return best
 
 
@@ -292,11 +282,9 @@ def epsilon_entropy_oracle(
     w = mu.w
     potentials = _lipschitz_vertices(d.d)
 
-    def feasible(lams: np.ndarray) -> np.ndarray:
+    def kvalue(lams: np.ndarray) -> np.ndarray:
         # k(lam, mu) = max over dual vertices u of u . (lam - mu)
-        return ((lams - w) @ potentials.T).max(axis=1) <= budget
-
-    kvalue = lambda lams: ((lams - w) @ potentials.T).max(axis=1)
+        return ((lams - w) @ potentials.T).max(axis=1)
 
     def refine_from(support, seed, best):
         """Staged local search; recenters on the feasible minimum, or walks
@@ -321,7 +309,7 @@ def epsilon_entropy_oracle(
             support = np.asarray(support)
             step = _coarse_step(size)
             lams, entropies = _simplex_grid(n, support, step)
-            ok = feasible(lams)
+            ok = kvalue(lams) <= budget
             seeds = []
             if np.any(ok):
                 idx = int(np.argmin(np.where(ok, entropies, np.inf)))
@@ -348,11 +336,6 @@ def _coarse_step(size: int) -> float:
     return {1: 1.0, 2: ORACLE_GRID_STEP, 3: 1e-2}.get(size, 2.5e-2)
 
 
-def _continuity_bound(tau: float, alphabet: int) -> float:
-    tau = min(max(tau, 0.0), 0.5)
-    return tau * math.log2(max(alphabet - 1, 1)) + binary_entropy(tau)
-
-
 def _grid_error(n: int) -> float:
     # entropy continuity over the final grid resolution, plus feasibility
     # quantization: tolerance for how far the reported min may overshoot
@@ -375,14 +358,7 @@ def _simplex_grid(n: int, support: np.ndarray, step: float):
         cuts - np.arange(size - 1),
         np.full((len(cuts), 1), ticks, dtype=int),
     ], axis=1), axis=1)
-    weights = parts / ticks
-    lams = np.zeros((len(weights), n))
-    lams[:, support] = weights
-    ent = np.zeros(len(weights))
-    pos = weights > 0
-    logs = np.where(pos, np.log2(np.where(pos, weights, 1.0)), 0.0)
-    ent = -np.sum(weights * logs, axis=1)
-    return lams, ent
+    return _embed_rows(n, support, parts / ticks)
 
 
 def _local_refine(n: int, support: np.ndarray, incumbent: np.ndarray, radius: float, step: float):
@@ -397,12 +373,16 @@ def _local_refine(n: int, support: np.ndarray, incumbent: np.ndarray, radius: fl
     ok = np.all(weights >= -1e-12, axis=1)
     weights = np.clip(weights[ok], 0.0, 1.0)
     weights /= weights.sum(axis=1, keepdims=True)
+    return _embed_rows(n, support, weights)
+
+
+def _embed_rows(n: int, support: np.ndarray, weights: np.ndarray):
+    """Each row of `weights` placed on `support` among n atoms, and its entropy in bits."""
     lams = np.zeros((len(weights), n))
     lams[:, support] = weights
     pos = weights > 0
     logs = np.where(pos, np.log2(np.where(pos, weights, 1.0)), 0.0)
-    ent = -np.sum(weights * logs, axis=1)
-    return lams, ent
+    return lams, -np.sum(weights * logs, axis=1)
 
 
 def _lipschitz_vertices(dd: np.ndarray) -> np.ndarray:

@@ -16,8 +16,6 @@ model can refute fast decay but never certify the limit.
 
 from __future__ import annotations
 
-import hashlib
-import json
 from dataclasses import dataclass
 
 import numpy as np
@@ -59,42 +57,6 @@ class LevelSemimetric:
 
     def quotient_measure(self) -> DiscreteMeasure:
         return DiscreteMeasure(self.block_mass)
-
-    def to_json(self) -> str:
-        """Cache emission format: header (size, level, checksum) plus the grid."""
-        grid = self.matrix.d
-        checksum = hashlib.sha256(np.ascontiguousarray(grid).tobytes()).hexdigest()
-        return json.dumps(
-            {
-                "type": "level_semimetric",
-                "size": self.matrix.size,
-                "level": self.level,
-                "checksum": checksum,
-                "d": grid.tolist(),
-                "block_mass": self.block_mass.tolist(),
-                "block_of": self.partition.block_of.tolist(),
-            }
-        )
-
-    @classmethod
-    def from_json(cls, text: str) -> "LevelSemimetric":
-        obj = json.loads(text)
-        if obj.get("type") != "level_semimetric":
-            raise StructuralError("not a level-semimetric JSON document")
-        grid = np.asarray(obj["d"], dtype=float)
-        if grid.shape != (obj["size"], obj["size"]):
-            raise StructuralError("grid shape does not match the size header")
-        checksum = hashlib.sha256(np.ascontiguousarray(grid).tobytes()).hexdigest()
-        if checksum != obj["checksum"]:
-            raise StructuralError("level grid checksum mismatch")
-        mass = np.asarray(obj["block_mass"], dtype=float)
-        return cls(
-            level=int(obj["level"]),
-            partition=Partition(np.asarray(obj["block_of"], dtype=int)),
-            matrix=SemimetricMatrix(grid),
-            block_mass=mass,
-            null_blocks=mass <= 0.0,
-        )
 
 
 def iterate_semimetric(

@@ -11,6 +11,10 @@ Normal forms are unique, so equality and hashing are structural.  The walk
 alphabet always has 2s symbols (generators then inverses), even for
 self-inverse structure, keeping the branching factor r = 2s uniform.
 
+Beside the scalar `multiply`, one int64 array kernel (:func:`step_rows`, and
+:func:`_free_levels` for free words) steps walks for the scenery reader, the
+meeting diagnostic and the Heisenberg norm ball, built once by BFS on it.
+
 A scenery is a deterministic fair-bit labeling of the group realized lazily:
 the bit at an element is a keyed hash of its normal form, so a walk can read
 arbitrarily far without materializing anything.
@@ -19,8 +23,10 @@ arbitrarily far without materializing anything.
 from __future__ import annotations
 
 import hashlib
+import itertools
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -100,21 +106,23 @@ def identity(spec: GroupSpec) -> GroupElement:
     return GroupElement(spec, (0, 0, 0))
 
 
+@lru_cache(maxsize=None)
+def _generator_rows(spec: GroupSpec) -> np.ndarray:
+    """Normal forms of the walk symbols' generators as int64 rows: the s
+    generators, then their inverses (a free generator's row is its letter)."""
+    if spec.kind == "free":
+        gens = np.arange(1, spec.s + 1, dtype=np.int64)[:, None]
+    else:
+        gens = np.eye(spec.n_generators, len(identity(spec).data), dtype=np.int64)
+    return np.concatenate([gens, -gens])
+
+
 def generator(spec: GroupSpec, i: int, inverse: bool = False) -> GroupElement:
     """The i-th generator (0-based) or its inverse."""
     s = spec.n_generators
     if not (0 <= i < s):
         raise StructuralError(f"generator index {i} out of range for {spec.describe()}")
-    sign = -1 if inverse else 1
-    if spec.kind == "lattice":
-        vec = [0] * spec.d
-        vec[i] = sign
-        return GroupElement(spec, tuple(vec))
-    if spec.kind == "free":
-        return GroupElement(spec, (sign * (i + 1),))
-    if i == 0:
-        return GroupElement(spec, (sign, 0, 0))
-    return GroupElement(spec, (0, sign, 0))
+    return symbol_element(spec, i + s * inverse)
 
 
 def symbol_element(spec: GroupSpec, symbol: int) -> GroupElement:
@@ -122,7 +130,7 @@ def symbol_element(spec: GroupSpec, symbol: int) -> GroupElement:
     s = spec.n_generators
     if not (0 <= symbol < 2 * s):
         raise StructuralError(f"symbol {symbol} outside alphabet of size {2 * s}")
-    return generator(spec, symbol % s, inverse=symbol >= s)
+    return GroupElement(spec, tuple(_generator_rows(spec)[symbol].tolist()))
 
 
 def multiply(a: GroupElement, b: GroupElement) -> GroupElement:
@@ -132,13 +140,9 @@ def multiply(a: GroupElement, b: GroupElement) -> GroupElement:
     if spec.kind == "lattice":
         return GroupElement(spec, tuple(x + y for x, y in zip(a.data, b.data)))
     if spec.kind == "free":
-        left = list(a.data)
-        for letter in b.data:
-            if left and left[-1] == -letter:
-                left.pop()
-            else:
-                left.append(letter)
-        return GroupElement(spec, tuple(left))
+        word = list(a.data)
+        _reduce_onto(word, b.data)
+        return GroupElement(spec, tuple(word))
     a1, b1, c1 = a.data
     a2, b2, c2 = b.data
     return GroupElement(spec, (a1 + a2, b1 + b2, c1 + c2 + a1 * b2))
@@ -154,36 +158,138 @@ def inverse(a: GroupElement) -> GroupElement:
     return GroupElement(spec, (-x, -y, -z + x * y))
 
 
+def _reduce_onto(word: list, letters) -> list[int]:
+    """Append free-group letters to a reduced word in place, each cancelling
+    the last letter when it is that letter's inverse; the word's length after
+    each letter."""
+    lengths = []
+    for letter in letters:
+        if word and word[-1] == -letter:
+            word.pop()
+        else:
+            word.append(letter)
+        lengths.append(len(word))
+    return lengths
+
+
+# ---------------------------------------------------------------------------
+# Array step kernel
+# ---------------------------------------------------------------------------
+
+
+def step_rows(spec: GroupSpec, rows: np.ndarray, symbols: np.ndarray) -> np.ndarray:
+    """Row i times the generator of walk symbol symbols[i].
+
+    Rows are int64 lattice coordinates or Heisenberg triples; a Heisenberg
+    step adds a*b' to the central coordinate.  Free-group words have no fixed
+    width and step through :func:`_free_levels`.
+    """
+    if spec.kind == "free":
+        raise StructuralError("free-group words step through _free_levels, not step_rows")
+    steps = _generator_rows(spec)[symbols]
+    out = rows + steps
+    if spec.kind == "heisenberg":
+        out[:, 2] += rows[:, 0] * steps[:, 1]
+    return out
+
+
+def prefix_products(spec: GroupSpec, symbols) -> np.ndarray:
+    """Row k: the product of the generators of lattice or Heisenberg symbols[:k+1].
+
+    A step's increment depends on the product only through its lattice
+    coordinates, plain prefix sums, so the products are prefix sums of the
+    increments `step_rows` makes on those."""
+    symbols = np.asarray(symbols, dtype=np.int64)
+    lattice = np.cumsum(_generator_rows(spec)[symbols], axis=0)
+    before = np.concatenate([np.zeros_like(lattice[:1]), lattice[:-1]])
+    return np.cumsum(step_rows(spec, before, symbols) - before, axis=0)
+
+
+def _free_levels(spec: GroupSpec, tail: tuple, depth: int):
+    """Free-group walk levels from a tail word: each row is (popped, code).
+
+    The reduced word is the tail with its last `popped` letters removed,
+    followed by a suffix coded in base 2s+1 with digit sym+1 per walk symbol
+    (generators 1..s, inverses s+1..2s; 0 marks no letter).  Stepping by a
+    symbol pops the last letter when the symbol is its inverse and appends
+    otherwise.  Only the last `depth` tail letters can be popped, so the rows
+    do not grow with the tail: a level-j row has popped <= j and
+    code < (2s+1)^j, which fits int64 long before (2s)^j rows fit in memory.
+    """
+    s, r = spec.s, spec.alphabet_size
+    base = r + 1
+    digit_of = {g: g if g > 0 else s - g for g in range(-s, s + 1) if g}
+    # tail_digits[k]: digit of the last letter once k have been popped; 0 if none is left
+    tail_digits = np.array([digit_of[g] for g in reversed(tail[-depth:])] + [0], dtype=np.int64)
+    digits = np.arange(1, r + 1, dtype=np.int64)
+    inverse_digits = np.where(digits > s, digits - s, digits + s)
+    popped = np.zeros(1, dtype=np.int64)
+    code = np.zeros(1, dtype=np.int64)
+    levels = []
+    for _ in range(depth):
+        last = np.repeat(np.where(code > 0, code % base, tail_digits[popped]), r)
+        popped, code = np.repeat(popped, r), np.repeat(code, r)
+        pop = last == np.tile(inverse_digits, len(code) // r)
+        popped = popped + (pop & (code == 0))
+        code = np.where(pop, code // base, code * base + np.tile(digits, len(code) // r))
+        levels.append(np.stack([popped, code], axis=1))
+
+    def elements(rows):
+        powers = base ** np.arange(depth - 1, -1, -1, dtype=np.int64)
+        suffix = (rows[:, 1:] // powers) % base  # most significant digit first, zero-padded
+        letters = np.where(suffix > s, s - suffix, suffix).tolist()
+        lengths = np.count_nonzero(suffix, axis=1).tolist()
+        for k, word, n in zip(rows[:, 0].tolist(), letters, lengths):
+            yield tail[: len(tail) - k] + tuple(word[depth - n :])
+
+    return levels, elements
+
+
 # ---------------------------------------------------------------------------
 # Word norms
 # ---------------------------------------------------------------------------
 
 
-class _HeisenbergBall:
-    """Lazily grown BFS ball of the Heisenberg Cayley graph around identity."""
-
-    def __init__(self):
-        self.norm_of = {(0, 0, 0): 0}
-        self.frontier = [(0, 0, 0)]
-        self.radius = 0
-
-    def expand_to(self, radius: int):
-        spec = GroupSpec.heisenberg()
-        steps = [generator(spec, i, inv).data for i in range(2) for inv in (False, True)]
-        while self.radius < radius and self.frontier:
-            nxt = []
-            for tri in self.frontier:
-                a1, b1, c1 = tri
-                for a2, b2, c2 in steps:
-                    cand = (a1 + a2, b1 + b2, c1 + c2 + a1 * b2)
-                    if cand not in self.norm_of:
-                        self.norm_of[cand] = self.radius + 1
-                        nxt.append(cand)
-            self.frontier = nxt
-            self.radius += 1
+def _ball_keys(rows: np.ndarray) -> np.ndarray:
+    # one int64 per triple, distinct while |b| and |c| stay below 2^19; a row
+    # clipped to 2^19 lies outside the ball, so its key matches no ball key
+    return np.clip(rows, -(1 << 19), 1 << 19) @ np.array([1 << 40, 1 << 20, 1])
 
 
-_HEISENBERG_BALL = _HeisenbergBall()
+@lru_cache(maxsize=None)
+def _heisenberg_ball() -> tuple[np.ndarray, np.ndarray]:
+    """`_ball_keys` of the Heisenberg elements within HEISENBERG_EXACT_NORM_CAP
+    of the identity, sorted, and their word norms; built once, by
+    breadth-first search over `step_rows`."""
+    spec = GroupSpec.heisenberg()
+    symbols = np.arange(spec.alphabet_size)
+    frontier = np.zeros((1, 3), dtype=np.int64)
+    seen, sizes = _ball_keys(frontier), [1]
+    for _ in range(HEISENBERG_EXACT_NORM_CAP):
+        rows = step_rows(spec, np.repeat(frontier, len(symbols), axis=0), np.tile(symbols, len(frontier)))
+        keys, first = np.unique(_ball_keys(rows), return_index=True)
+        fresh = ~np.isin(keys, seen, assume_unique=True)
+        frontier = rows[first[fresh]]
+        seen = np.concatenate([seen, keys[fresh]])
+        sizes.append(len(frontier))
+    order = np.argsort(seen)
+    return seen[order], np.repeat(np.arange(len(sizes)), sizes)[order]
+
+
+def _heisenberg_norm_bounds(rows: np.ndarray):
+    """Certified (lower, upper) word norms of int64 Heisenberg triples, one
+    at a time: exact inside the ball, else the closed-form bracket lifted
+    above its radius."""
+    keys, norms = _heisenberg_ball()
+    wanted = _ball_keys(rows)
+    at = np.minimum(np.searchsorted(keys, wanted), len(keys) - 1)
+    exact = np.where(keys[at] == wanted, norms[at], -1)
+    for norm, data in zip(exact.tolist(), rows.tolist()):
+        if norm >= 0:
+            yield norm, norm
+        else:
+            lower, upper = _heisenberg_bounds(data)
+            yield max(lower, HEISENBERG_EXACT_NORM_CAP + 1), upper
 
 
 def _heisenberg_bounds(data: tuple) -> tuple[int, int]:
@@ -218,25 +324,19 @@ def word_norm_bounds(a: GroupElement) -> tuple[int, int]:
     if a.spec.kind == "free":
         n = len(a.data)
         return n, n
-    known = _HEISENBERG_BALL.norm_of.get(a.data)
-    if known is not None:
-        return known, known
     lower, upper = _heisenberg_bounds(a.data)
-    if lower <= HEISENBERG_EXACT_NORM_CAP:
-        _HEISENBERG_BALL.expand_to(min(upper, HEISENBERG_EXACT_NORM_CAP))
-        known = _HEISENBERG_BALL.norm_of.get(a.data)
-        if known is not None:
-            return known, known
-        lower = max(lower, _HEISENBERG_BALL.radius + 1)
-    return lower, upper
+    if lower > HEISENBERG_EXACT_NORM_CAP:  # outside the ball, and perhaps outside int64
+        return lower, upper
+    return next(_heisenberg_norm_bounds(np.array([a.data], dtype=np.int64)))
 
 
 def word_norm(a: GroupElement) -> int:
     """Exact word length w.r.t. the symmetric generating set.
 
-    Lattice and free norms are closed form; the Heisenberg norm is found by
-    breadth-first search, exact up to length 20, beyond which only the
-    bracket from :func:`word_norm_bounds` is certified and this raises.
+    Lattice and free norms are closed form; the Heisenberg norm is looked up
+    in a ball built once by breadth-first search on the array kernel, exact up
+    to length HEISENBERG_EXACT_NORM_CAP (20), beyond which only the bracket
+    from :func:`word_norm_bounds` is certified and this raises.
     """
     lower, upper = word_norm_bounds(a)
     if lower == upper:
@@ -368,44 +468,17 @@ class MeetingResult:
         return self.n is not None
 
 
-class _ProductTracker:
-    """Running product of walk symbols with O(1) amortized norm brackets."""
-
-    def __init__(self, spec: GroupSpec):
-        self.spec = spec
-        if spec.kind == "lattice":
-            self.vec = [0] * spec.d
-        elif spec.kind == "free":
-            self.stack: list[int] = []
-        else:
-            self.tri = (0, 0, 0)
-
-    def push(self, symbol: int):
-        spec = self.spec
-        s = spec.n_generators
-        i, sign = symbol % s, (-1 if symbol >= s else 1)
-        if spec.kind == "lattice":
-            self.vec[i] += sign
-        elif spec.kind == "free":
-            letter = sign * (i + 1)
-            if self.stack and self.stack[-1] == -letter:
-                self.stack.pop()
-            else:
-                self.stack.append(letter)
-        else:
-            a1, b1, c1 = self.tri
-            step = generator(spec, i, inverse=sign < 0).data
-            self.tri = (a1 + step[0], b1 + step[1], c1 + step[2] + a1 * step[1])
-
-    def norm_bounds(self) -> tuple[int, int]:
-        spec = self.spec
-        if spec.kind == "lattice":
-            n = sum(abs(x) for x in self.vec)
-            return n, n
-        if spec.kind == "free":
-            n = len(self.stack)
-            return n, n
-        return word_norm_bounds(GroupElement(spec, self.tri))
+def _prefix_norm_bounds(spec: GroupSpec, symbols):
+    """Certified (lower, upper) word norms of the running products of the
+    symbols' generators, in order; lazy for the Heisenberg group, so a
+    search that stops early computes no brackets past its stop."""
+    if spec.kind == "free":
+        norms = _reduce_onto([], _generator_rows(spec)[symbols, 0].tolist())
+    elif spec.kind == "lattice":
+        norms = np.abs(prefix_products(spec, symbols)).sum(axis=1).tolist()
+    else:
+        return _heisenberg_norm_bounds(prefix_products(spec, symbols))
+    return zip(norms, norms)
 
 
 def meeting_diagnostic(
@@ -427,18 +500,10 @@ def meeting_diagnostic(
         raise StructuralError("h must be >= 1")
     top = h**5 if cap is None else min(h**5, cap)
     top = min(top, len(u), len(v))
-    pu = _ProductTracker(spec)
-    pv = _ProductTracker(spec)
+    brackets = zip(_prefix_norm_bounds(spec, u[:top]), _prefix_norm_bounds(spec, v[:top]))
     uncertain = 0
-    for step in range(top):
-        pu.push(int(u[step]))
-        pv.push(int(v[step]))
-        n = step + 1
-        if n < h:
-            continue
+    for n, ((lo_u, hi_u), (lo_v, hi_v)) in enumerate(itertools.islice(brackets, h - 1, None), start=h):
         threshold = c * math.sqrt(n)
-        lo_u, hi_u = pu.norm_bounds()
-        lo_v, hi_v = pv.norm_bounds()
         if hi_u < threshold and hi_v < threshold:
             return MeetingResult(n=n, norm_bound_u=hi_u, norm_bound_v=hi_v)
         if (lo_u < threshold <= hi_u) or (lo_v < threshold <= hi_v):

@@ -14,7 +14,6 @@ against explicit vertex enumeration of the transportation polytope.
 
 from __future__ import annotations
 
-import csv
 import itertools
 from dataclasses import dataclass
 
@@ -54,14 +53,6 @@ class Coupling:
 
     def cost(self, d: SemimetricMatrix) -> float:
         return float(np.sum(self.q * d.d))
-
-    def dump_csv(self, path) -> None:
-        """Write nonzero plan entries as (i, j, mass) rows, for debugging."""
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["i", "j", "mass"])
-            for i, j in zip(*np.nonzero(self.q)):
-                writer.writerow([int(i), int(j), repr(float(self.q[i, j]))])
 
 
 def _canonical_order(w: np.ndarray, rows: np.ndarray) -> np.ndarray:

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import SizeCapError, StructuralError
-from .mmspace import DiscreteMeasure, Partition, SemimetricMatrix
+from .mmspace import DiscreteMeasure, Partition, SemimetricMatrix, _entropy_bits
 
 BRUTEFORCE_LEAF_CAP = 16
 BRUTEFORCE_GROUP_CAP = 50_000
@@ -277,9 +277,7 @@ def orbit_partition(
     _, orbit_ids = np.unique(ids[:, 0], return_inverse=True)
 
     part = Partition(orbit_ids)
-    masses = np.bincount(orbit_ids, weights=word_measure.w, minlength=part.n_blocks)
-    masses = np.sort(masses[masses > 0])
-    entropy = float(-np.sum(masses * np.log2(masses))) if masses.size else 0.0
+    entropy = _entropy_bits(np.bincount(orbit_ids, weights=word_measure.w, minlength=part.n_blocks))
     return OrbitPartition(partition=part, entropy_bits=entropy, orbit_count=part.n_blocks)
 
 

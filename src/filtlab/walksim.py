@@ -12,8 +12,9 @@ below that depth carry constant labels and the distance collapses to the
 truncated tree: everything here materializes min(m, n) levels regardless of n.
 
 The scenery reader steps all r^j walk positions of a level at once as int64
-arrays (lattice coordinates, Heisenberg triples, free-group words as popped
-tail letters plus a coded suffix) and asks the scenery once per distinct
+arrays through the kernel in `groups` (`step_rows` for lattice coordinates
+and Heisenberg triples, `_free_levels` for free-group words as popped tail
+letters plus a coded suffix) and asks the scenery once per distinct
 element.  Depth-n bits are a prefix of depth-(n+1) bits, so
 :func:`mean_distance_profile` reads each point once, at height min(m, n_max),
 and its shallower engines slice those bits.
@@ -38,7 +39,8 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import SizeCapError, StructuralError
-from .groups import GroupElement, GroupSpec, Scenery, _philox, identity, symbol_element
+from .filtration import cylinder_hamming
+from .groups import GroupElement, GroupSpec, Scenery, _free_levels, _philox, identity, step_rows
 from .mmspace import SemimetricMatrix
 from .treewalk import TreeLeafSystem
 
@@ -69,13 +71,7 @@ def hamming_base(n_bits: int) -> SemimetricMatrix:
     """Normalized Hamming semimetric on {0,1}^n_bits (as label integers)."""
     if n_bits > MAX_LABEL_BITS:
         raise SizeCapError(f"label alphabet 2^{n_bits} exceeds the supported size")
-    size = 1 << n_bits
-    codes = np.arange(size)
-    xor = codes[:, None] ^ codes[None, :]
-    counts = np.zeros((size, size), dtype=float)
-    for b in range(n_bits):
-        counts += (xor >> b) & 1
-    return SemimetricMatrix(counts / n_bits)
+    return cylinder_hamming(n_bits, n_bits)
 
 
 def _read_bits(spec: GroupSpec, point: WalkPoint, depth: int) -> list[np.ndarray]:
@@ -104,64 +100,18 @@ def _read_bits(spec: GroupSpec, point: WalkPoint, depth: int) -> list[np.ndarray
 
 
 def _additive_levels(spec: GroupSpec, tail: tuple, depth: int):
-    """Lattice and Heisenberg levels: each row is the element's coordinates.
-
-    A step adds the symbol's generator, plus a*b' on the central coordinate
-    of the Heisenberg group.  Tail coordinates are capped at 2^40 so that no
-    walk of feasible depth leaves int64."""
+    """Lattice and Heisenberg levels: each row is the element's coordinates,
+    stepped by `groups.step_rows`.  Tail coordinates are capped at 2^40 so
+    that no walk of feasible depth leaves int64."""
     if max(map(abs, tail)) >= 1 << 40:
         raise SizeCapError("tail coordinates of 2^40 or more exceed the int64 reader")
-    r = spec.alphabet_size
-    steps = np.array([symbol_element(spec, s).data for s in range(r)], dtype=np.int64)
+    symbols = np.arange(spec.alphabet_size)
     cur = np.array([tail], dtype=np.int64)
     levels = []
     for _ in range(depth):
-        parents = np.repeat(cur, r, axis=0)
-        cur = parents + np.tile(steps, (len(parents) // r, 1))
-        if spec.kind == "heisenberg":
-            cur[:, 2] += parents[:, 0] * np.tile(steps[:, 1], len(parents) // r)
+        cur = step_rows(spec, np.repeat(cur, len(symbols), axis=0), np.tile(symbols, len(cur)))
         levels.append(cur)
     return levels, lambda rows: map(tuple, rows.tolist())
-
-
-def _free_levels(spec: GroupSpec, tail: tuple, depth: int):
-    """Free-group levels: each row is (popped, code).
-
-    The reduced word is the tail with its last `popped` letters removed,
-    followed by a suffix coded in base 2s+1 with digit sym+1 per walk symbol
-    (generators 1..s, inverses s+1..2s; 0 marks no letter).  Stepping by a
-    symbol pops the last letter when the symbol is its inverse and appends
-    otherwise.  Only the last `depth` tail letters can be popped, so the rows
-    do not grow with the tail: a level-j row has popped <= j and
-    code < (2s+1)^j, which fits int64 long before (2s)^j rows fit in memory.
-    """
-    s, r = spec.s, spec.alphabet_size
-    base = r + 1
-    digit_of = {g: g if g > 0 else s - g for g in range(-s, s + 1) if g}
-    # tail_digits[k]: digit of the last letter once k have been popped; 0 if none is left
-    tail_digits = np.array([digit_of[g] for g in reversed(tail[-depth:])] + [0], dtype=np.int64)
-    digits = np.arange(1, r + 1, dtype=np.int64)
-    inverse_digits = np.where(digits > s, digits - s, digits + s)
-    popped = np.zeros(1, dtype=np.int64)
-    code = np.zeros(1, dtype=np.int64)
-    levels = []
-    for _ in range(depth):
-        last = np.repeat(np.where(code > 0, code % base, tail_digits[popped]), r)
-        popped, code = np.repeat(popped, r), np.repeat(code, r)
-        pop = last == np.tile(inverse_digits, len(code) // r)
-        popped = popped + (pop & (code == 0))
-        code = np.where(pop, code // base, code * base + np.tile(digits, len(code) // r))
-        levels.append(np.stack([popped, code], axis=1))
-
-    def elements(rows):
-        powers = base ** np.arange(depth - 1, -1, -1, dtype=np.int64)
-        suffix = (rows[:, 1:] // powers) % base  # most significant digit first, zero-padded
-        letters = np.where(suffix > s, s - suffix, suffix).tolist()
-        lengths = np.count_nonzero(suffix, axis=1).tolist()
-        for k, word, n in zip(rows[:, 0].tolist(), letters, lengths):
-            yield tail[: len(tail) - k] + tuple(word[depth - n :])
-
-    return levels, elements
 
 
 def _row_keys(rows: np.ndarray) -> np.ndarray:
@@ -348,17 +298,11 @@ def pair_distance(
     spec: GroupSpec,
     n: int,
     leaf_cap: int = DEFAULT_LEAF_CAP,
-    engine: WalkDistanceEngine | None = None,
 ) -> float:
-    """Iterated semimetric at depth n between two walk points.
-
-    For repeated evaluations at one shape, pass a shared engine.
-    """
+    """Iterated semimetric at depth n between two walk points."""
     if px.m != py.m:
         raise StructuralError("both points must share the observation depth m")
-    if engine is None:
-        engine = WalkDistanceEngine(spec, n, px.m, leaf_cap)
-    return engine.distance(px, py)
+    return WalkDistanceEngine(spec, n, px.m, leaf_cap).distance(px, py)
 
 
 def identity_matching_average(

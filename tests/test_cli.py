@@ -59,7 +59,7 @@ class TestConfigValidation:
 
 # sha256 of (CSV, JSON) recorded with the element-at-a-time scenery reader;
 # any faster path must keep every result byte.  The JSON meta carries
-# filtlab.__version__, so a version bump re-records these.
+# filtlab.__version__, so a version bump re-records these and the pins below.
 PINNED_RESULTS = [
     (
         "z1_standardness",  # demos/configs/z1_standardness.json as it stands
@@ -88,6 +88,62 @@ PINNED_RESULTS = [
 ]
 
 
+def meeting_config(name, group, c, pairs):
+    # h 4 up to 1024 steps: Heisenberg products leave the exact-norm ball
+    return {
+        "version": 1,
+        "experiment": "meeting-diagnostic",
+        "group": group,
+        "meeting": {"pairs": pairs, "h": 4, "c": c, "cap": 1024},
+        "seed": 41,
+        "output": {"basename": name},
+    }
+
+
+# sha256 of (CSV, JSON) of meeting and orbit results, recorded with the
+# element-at-a-time product tracker and the lazily grown Heisenberg ball.  A
+# config of None is the demo config of that name.
+PINNED_GROUP_RESULTS = [
+    (
+        "heisenberg_meeting",
+        None,
+        "3ed3b999fffd6adb112198ae59df39fb9fd14ea9269b7dbc594a99a5185c5013",
+        "2c15712057d80bbc8481c781215e7167526c5a13a4e360477be911f3e8921806",
+    ),
+    (
+        "z2_meeting",
+        meeting_config("z2_meeting", {"kind": "lattice", "d": 2}, 0.5, 6),
+        "8269aac5efd8738ab1fc7f616943aedb60b09c4bf794a36e57606b140df16ae1",
+        "0add782d54a1ce9df0af560918939704666fefe26dc3629d72d528305c1a1acd",
+    ),
+    (
+        "f2_meeting",
+        meeting_config("f2_meeting", {"kind": "free", "s": 2}, 1.0, 6),
+        "992bb304fe01d47b69303c9ba0d8bff1259df99effb36b409bbbbde009b973db",
+        "a6291dc566a2bc8ab15da47c0c14eead259609c3969d00987798d293c47c5cbe",
+    ),
+    # two of the twelve pairs miss with uncertain skips (344 and 67)
+    (
+        "heisenberg_far",
+        meeting_config("heisenberg_far", {"kind": "heisenberg"}, 1.0, 12),
+        "3ccd2825300d933066553a16404b21b3cb11a93f331a7c848127e5810a89fae6",
+        "a754fa3ae0807933fff7a4e696c935f0d725ec18e0acff4ae5afa70f4ad672bf",
+    ),
+    (
+        "orbit_small",
+        {
+            "version": 1,
+            "experiment": "orbit-entropy",
+            "orbit": {"n_max": 3, "r": 2, "alphabet": 3},
+            "seed": 5,
+            "output": {"basename": "orbit_small"},
+        },
+        "c069af19d26d36090c9a6a0bbfaa00bb86ec74da199fe91d29eced1d2bce7b70",
+        "6db157028e4dca29c51f89ae308d4e8d6a5de5101e8657bbdb85bc0bc5e99a98",
+    ),
+]
+
+
 class TestResultBytes:
     @pytest.mark.parametrize(
         "name,overrides,csv_sha,json_sha", PINNED_RESULTS, ids=[p[0] for p in PINNED_RESULTS]
@@ -97,6 +153,16 @@ class TestResultBytes:
             cfg = load_config(str(CONFIG_DIR / f"{name}.json"))
         else:
             cfg = small_standardness_config(**overrides, output={"basename": name})
+        csv_path, json_path = run_experiment(cfg, out_dir=str(tmp_path))
+        assert hashlib.sha256(csv_path.read_bytes()).hexdigest() == csv_sha
+        assert hashlib.sha256(json_path.read_bytes()).hexdigest() == json_sha
+
+    @pytest.mark.parametrize(
+        "name,cfg,csv_sha,json_sha", PINNED_GROUP_RESULTS, ids=[p[0] for p in PINNED_GROUP_RESULTS]
+    )
+    def test_group_result_bytes_pinned(self, tmp_path, name, cfg, csv_sha, json_sha):
+        if cfg is None:
+            cfg = load_config(str(CONFIG_DIR / f"{name}.json"))
         csv_path, json_path = run_experiment(cfg, out_dir=str(tmp_path))
         assert hashlib.sha256(csv_path.read_bytes()).hexdigest() == csv_sha
         assert hashlib.sha256(json_path.read_bytes()).hexdigest() == json_sha

@@ -159,19 +159,6 @@ class TestStandardnessProfile:
             prof = standardness_profile(rho0, mu, chain)
             assert np.all(np.diff(prof.c) <= 1e-9)
 
-    def test_level_json_roundtrip_with_checksum(self):
-        from filtlab.filtration import LevelSemimetric
-
-        mu, chain = dyadic_bernoulli_chain(4)
-        levels = iterate_semimetric(cylinder_hamming(4, 4), mu, chain, depth=2)
-        text = levels[1].to_json()
-        back = LevelSemimetric.from_json(text)
-        assert back.level == 2
-        assert np.array_equal(back.matrix.d, levels[1].matrix.d)
-        corrupted = text.replace('"checksum": "', '"checksum": "00')
-        with pytest.raises(StructuralError):
-            LevelSemimetric.from_json(corrupted)
-
     def test_dyadic_levels_match_tree_matching(self):
         # an r-adic chain level realized as labeled trees: the iterated metric
         # between two blocks equals the automorphism-matching distance of the

@@ -1,9 +1,17 @@
+import json
+import os
+import subprocess
+import sys
+from functools import lru_cache
+from pathlib import Path
+
 import numpy as np
 import pytest
 from scipy import stats
 
 from filtlab.errors import SizeCapError, StructuralError, UnsupportedGroupError
 from filtlab.groups import (
+    HEISENBERG_EXACT_NORM_CAP,
     DictScenery,
     GroupElement,
     GroupSpec,
@@ -11,9 +19,13 @@ from filtlab.groups import (
     generator,
     identity,
     inverse,
+    _heisenberg_norm_bounds,
+    _prefix_norm_bounds,
     meeting_diagnostic,
     multiply,
+    prefix_products,
     sample_increments,
+    step_rows,
     symbol_element,
     weighted_rank,
     word_norm,
@@ -21,6 +33,14 @@ from filtlab.groups import (
 )
 
 SPECS = [GroupSpec.lattice(1), GroupSpec.lattice(2), GroupSpec.free(2), GroupSpec.heisenberg()]
+KERNEL_SPECS = [
+    GroupSpec.lattice(1),
+    GroupSpec.lattice(2),
+    GroupSpec.free(2),
+    GroupSpec.free(3),
+    GroupSpec.heisenberg(),
+]
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 
 def random_element(spec, rng, length=8):
@@ -67,6 +87,70 @@ class TestArithmetic:
             assert multiply(a, e) == a
 
 
+def replayed_products(spec, symbols):
+    """Every running product of the symbols' generators, by multiply."""
+    prod, out = identity(spec), []
+    for sym in symbols:
+        prod = multiply(prod, symbol_element(spec, int(sym)))
+        out.append(prod)
+    return out
+
+
+@lru_cache(maxsize=None)
+def heisenberg_spheres(radius):
+    """Spheres 0..radius of the Heisenberg Cayley graph, by a BFS on multiply."""
+    spec = GroupSpec.heisenberg()
+    steps = [symbol_element(spec, s) for s in range(spec.alphabet_size)]
+    spheres = [[identity(spec)]]
+    seen = {identity(spec)}
+    for _ in range(radius):
+        sphere = []
+        for e in spheres[-1]:
+            for g in steps:
+                nxt = multiply(e, g)
+                if nxt not in seen:
+                    seen.add(nxt)
+                    sphere.append(nxt)
+        spheres.append(sphere)
+    return spheres
+
+
+class TestArrayKernel:
+    @pytest.mark.parametrize("spec", [s for s in KERNEL_SPECS if s.kind != "free"], ids=lambda s: s.describe())
+    def test_step_rows_match_multiply(self, spec):
+        rng = np.random.default_rng(10)
+        elements = [random_element(spec, rng, length=12) for _ in range(200)]
+        symbols = rng.integers(0, spec.alphabet_size, size=len(elements))
+        rows = step_rows(spec, np.array([e.data for e in elements], dtype=np.int64), symbols)
+        expected = [multiply(e, symbol_element(spec, int(s))).data for e, s in zip(elements, symbols)]
+        assert [tuple(row) for row in rows.tolist()] == expected
+
+    def test_step_rows_refuse_free_words(self):
+        with pytest.raises(StructuralError):
+            step_rows(GroupSpec.free(2), np.zeros((1, 1), dtype=np.int64), np.zeros(1, dtype=np.int64))
+
+    @pytest.mark.parametrize("spec", KERNEL_SPECS, ids=lambda s: s.describe())
+    def test_prefix_products_match_multiply_replay(self, spec):
+        symbols = np.random.default_rng(11).integers(0, spec.alphabet_size, size=256)
+        replay = replayed_products(spec, symbols)
+        if spec.kind != "free":
+            rows = prefix_products(spec, symbols)
+            assert [tuple(row) for row in rows.tolist()] == [e.data for e in replay]
+        assert list(_prefix_norm_bounds(spec, symbols)) == [word_norm_bounds(e) for e in replay]
+
+    def test_far_triples_miss_the_ball(self):
+        # unclipped, these would share a ball key: (0, 1, -2^20) the identity's
+        spec = GroupSpec.heisenberg()
+        far = np.array([[0, 1, -(1 << 20)], [1, 0, -(1 << 40)], [-(1 << 21), 3, 5]])
+        expected = [word_norm_bounds(GroupElement(spec, tuple(row))) for row in far.tolist()]
+        assert list(_heisenberg_norm_bounds(far)) == expected
+        assert all(lo > HEISENBERG_EXACT_NORM_CAP for lo, _ in expected)
+
+    def test_prefix_products_empty(self):
+        for spec in (GroupSpec.lattice(2), GroupSpec.heisenberg()):
+            assert prefix_products(spec, np.zeros(0, dtype=np.int64)).shape == (0, len(identity(spec).data))
+
+
 class TestWordNorm:
     def test_lattice_l1(self):
         spec = GroupSpec.lattice(2)
@@ -101,6 +185,39 @@ class TestWordNorm:
         assert lo > 20
         with pytest.raises(SizeCapError):
             word_norm(big)
+
+    def test_heisenberg_spheres_around_the_cap(self):
+        # exact through the cap, then a bracket whose lower end is cap + 1
+        assert HEISENBERG_EXACT_NORM_CAP == 20
+        spheres = heisenberg_spheres(21)
+        for radius in (19, 20):
+            assert {word_norm_bounds(e) for e in spheres[radius]} == {(radius, radius)}
+        for e in spheres[21]:
+            lo, hi = word_norm_bounds(e)
+            assert lo == 21 <= hi
+
+    def test_heisenberg_bounds_independent_of_call_order(self):
+        # a bracket depends on the element alone: fresh processes calling in
+        # different orders agree with each other and with this one
+        spheres = heisenberg_spheres(21)
+        rng = np.random.default_rng(12)
+        data = [spheres[r][i].data for r in (3, 19, 20, 21) for i in rng.choice(len(spheres[r]), size=40)]
+        data += [(0, 0, 500), (7, -3, 40), (25, 0, 0), (2, 2, 120)]
+        script = (
+            "import json, sys\n"
+            "from filtlab.groups import GroupElement, GroupSpec, word_norm_bounds\n"
+            "spec = GroupSpec.heisenberg()\n"
+            "data = [tuple(d) for d in json.loads(sys.stdin.read())]\n"
+            "print(json.dumps({repr(d): word_norm_bounds(GroupElement(spec, d)) for d in data}))\n"
+        )
+        env = dict(os.environ, PYTHONPATH=str(SRC))
+        runs = []
+        for order in (data, data[::-1], sorted(data, key=lambda d: -abs(d[2]))):
+            out = subprocess.run([sys.executable, "-c", script], input=json.dumps(order),
+                                 capture_output=True, text=True, env=env, check=True)
+            runs.append(json.loads(out.stdout))
+        here = {repr(d): list(word_norm_bounds(GroupElement(GroupSpec.heisenberg(), d))) for d in data}
+        assert runs[0] == runs[1] == runs[2] == here
 
     @pytest.mark.parametrize("spec", SPECS, ids=lambda s: s.describe())
     def test_subadditive_and_inverse_invariant(self, spec):

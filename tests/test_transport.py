@@ -149,11 +149,3 @@ class TestCoupling:
     def test_rejects_negative(self):
         with pytest.raises(StructuralError):
             Coupling(np.array([[0.5, -0.1], [0.3, 0.3]]))
-
-    def test_csv_dump(self, tmp_path):
-        plan = Coupling(np.array([[0.5, 0.0], [0.25, 0.25]]))
-        path = tmp_path / "plan.csv"
-        plan.dump_csv(path)
-        lines = path.read_text().strip().splitlines()
-        assert lines[0] == "i,j,mass"
-        assert len(lines) == 4

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from filtlab.errors import SizeCapError, StructuralError
-from filtlab.filtration import iterate_semimetric
+from filtlab.filtration import cylinder_hamming, iterate_semimetric
 from filtlab.groups import (
     DictScenery,
     GroupElement,
@@ -132,6 +132,17 @@ class TestArrayReader:
 
     def test_depth_zero_reads_nothing(self):
         assert _read_bits(F2, walk_point(F2, 1, 1), 0) == []
+
+
+class TestHammingBase:
+    def test_equals_full_cylinder_hamming(self):
+        # uncached, so the 4096 x 4096 matrix at 12 bits is not kept
+        for n in range(1, 13):
+            assert hamming_base.__wrapped__(n).d.tobytes() == cylinder_hamming(n, n).d.tobytes()
+
+    def test_label_cap(self):
+        with pytest.raises(SizeCapError):
+            hamming_base(13)
 
 
 class TestLeafObservations:
