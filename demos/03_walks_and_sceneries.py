@@ -15,7 +15,7 @@ though its filtration is the canonical nonstandard example asymptotically.
 
 from filtlab import (
     GroupSpec,
-    ball_measure_estimate,
+    ball_measure_profile,
     identity_matching_average,
     leaf_observations,
     mean_distance_profile,
@@ -44,6 +44,5 @@ for spec in (Z1, F2):
 print()
 print("Ball mass around one free-group point at epsilon = 0.2:")
 center = walk_point(F2, seed=99, m=5)
-for n in (3, 4, 5):
-    est = ball_measure_estimate(center, F2, n, epsilon=0.2, samples=150, master_seed=5)
-    print(f"  n={n}: fraction {est.fraction:.3f}  95% CI [{est.ci_low:.3f}, {est.ci_high:.3f}]")
+for est in ball_measure_profile(center, F2, (3, 4, 5), epsilon=0.2, samples=150, master_seed=5):
+    print(f"  n={est.n}: fraction {est.fraction:.3f}  95% CI [{est.ci_low:.3f}, {est.ci_high:.3f}]")

@@ -81,6 +81,7 @@ from .walksim import (
     WalkDistanceEngine,
     WalkPoint,
     ball_measure_estimate,
+    ball_measure_profile,
     hamming_base,
     identity_matching_average,
     leaf_observations,

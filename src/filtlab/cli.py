@@ -11,8 +11,8 @@ Five experiment kinds are wired to the library drivers:
 
 Every run is a pure function of (config, seed): outputs carry the config hash
 and seed in their headers, contain no timestamps, and are written atomically.
-Results are cached content-addressed under the cache directory; a cache hit
-replays the stored bytes.
+Results are cached under the cache directory, named by the config hash, the
+filtlab version and the result schema; a cache hit replays the stored bytes.
 
 Exit codes: 0 success, 2 config error, 3 runtime error.
 """
@@ -36,13 +36,14 @@ from .groups import GroupSpec, meeting_diagnostic, sample_increments
 from .mmspace import DiscreteMeasure, SemimetricMatrix
 from .treewalk import exponential_entropy_estimate, iid_word_measure, orbit_partition
 from .walksim import (
-    ball_measure_estimate,
+    ball_measure_profile,
     mean_distance_profile,
     sample_distance_matrix,
     walk_point,
 )
 
 EXPERIMENTS = ("standardness", "ball-measure", "scaling-fit", "orbit-entropy", "meeting-diagnostic")
+RESULT_SCHEMA = 1  # raise when the result bytes of a config change within one version
 
 
 class ConfigError(Exception):
@@ -109,6 +110,13 @@ def config_hash(cfg: dict, seed: int) -> str:
     return hashlib.sha256(blob).hexdigest()[:16]
 
 
+def _cache_key(digest: str) -> str:
+    """Cache file stem: the config hash folded with the code version and the
+    result schema, so an entry stored by other code never replays."""
+    blob = f"{digest}:{__version__}:{RESULT_SCHEMA}".encode()
+    return hashlib.sha256(blob).hexdigest()[:16]
+
+
 # ---------------------------------------------------------------------------
 # Experiments: each returns (csv_rows, csv_header, json_payload)
 # ---------------------------------------------------------------------------
@@ -142,34 +150,16 @@ def _run_ball_measure(cfg, seed, workers):
     m = int(walk["m"])
     center = walk_point(spec, seed ^ 0x5EED, m)
     header = ["group", "n", "m", "epsilon", "statistic", "value", "ci_low", "ci_high", "seed"]
-    rows = []
-    results = []
-    for n in walk["levels"]:
-        est = ball_measure_estimate(
-            center,
-            spec,
-            int(n),
-            float(walk["epsilon"]),
-            int(walk["samples"]),
-            master_seed=seed,
-            leaf_cap=int(walk.get("leaf_cap", 1 << 14)),
-            workers=workers,
-        )
-        rows.append(
-            [
-                spec.describe(),
-                est.n,
-                est.m,
-                repr(est.epsilon),
-                "ball_fraction",
-                repr(est.fraction),
-                repr(est.ci_low),
-                repr(est.ci_high),
-                seed,
-            ]
-        )
-        results.append(est.__dict__)
-    return rows, header, {"group": spec.describe(), "estimates": results}
+    estimates = ball_measure_profile(
+        center, spec, [int(n) for n in walk["levels"]], float(walk["epsilon"]), int(walk["samples"]),
+        master_seed=seed, leaf_cap=int(walk.get("leaf_cap", 1 << 14)),
+    )
+    rows = [
+        [spec.describe(), e.n, e.m, repr(e.epsilon), "ball_fraction",
+         repr(e.fraction), repr(e.ci_low), repr(e.ci_high), seed]
+        for e in estimates
+    ]
+    return rows, header, {"group": spec.describe(), "estimates": [e.__dict__ for e in estimates]}
 
 
 def _run_scaling_fit(cfg, seed, workers):
@@ -190,7 +180,6 @@ def _run_scaling_fit(cfg, seed, workers):
             points=points,
             master_seed=seed + n,
             leaf_cap=leaf_cap,
-            workers=workers,
         )
         mu = DiscreteMeasure.uniform(points)
         space = SemimetricMatrix(dmat)
@@ -305,13 +294,14 @@ def run_experiment(cfg: dict, out_dir: str, seed_override=None, threads: int = 1
     csv_path = out / f"{basename}.csv"
     json_path = out / f"{basename}.json"
 
+    key = _cache_key(digest)
     if cache_dir:
         cache = Path(cache_dir)
-        hit_csv = cache / f"{digest}.csv"
-        hit_json = cache / f"{digest}.json"
+        hit_csv = cache / f"{key}.csv"
+        hit_json = cache / f"{key}.json"
         if hit_csv.exists() and hit_json.exists():
             if verbose:
-                print(f"cache hit {digest}", file=sys.stderr)
+                print(f"cache hit {key}", file=sys.stderr)
             _atomic_write(csv_path, hit_csv.read_bytes())
             _atomic_write(json_path, hit_json.read_bytes())
             return [csv_path, json_path]
@@ -326,8 +316,8 @@ def run_experiment(cfg: dict, out_dir: str, seed_override=None, threads: int = 1
     if cache_dir:
         cache = Path(cache_dir)
         cache.mkdir(parents=True, exist_ok=True)
-        _atomic_write(cache / f"{digest}.csv", csv_bytes)
-        _atomic_write(cache / f"{digest}.json", json_bytes)
+        _atomic_write(cache / f"{key}.csv", csv_bytes)
+        _atomic_write(cache / f"{key}.json", json_bytes)
     if verbose:
         print(f"wrote {csv_path} and {json_path}", file=sys.stderr)
     return [csv_path, json_path]

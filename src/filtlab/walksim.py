@@ -19,10 +19,14 @@ element.  Depth-n bits are a prefix of depth-(n+1) bits, so
 :func:`mean_distance_profile` reads each point once, at height min(m, n_max),
 and its shallower engines slice those bits.
 
-Two distance paths exist: :func:`pair_distance` delegates to a vectorized
-engine that canonicalizes subtree read-patterns level by level and solves the
-child assignments in bulk; the generic recursive `treewalk.tree_distance` on
-the explicit leaf systems is the reference the engine is tested against.
+Distances come from one kernel, :meth:`WalkDistanceEngine.distance_table`.
+The engine interns subtree read-patterns into canonical classes level by
+level; the table then runs, height by height, over the union of the classes
+of a set of row points and a set of column points, each entry the cheapest
+child matching read off the table one height down.  A pair distance is a
+1 x 1 table, a ball measure one row, a sample distance matrix one square
+table.  The generic recursive `treewalk.tree_distance` on the explicit leaf
+systems is the reference the engine is tested against.
 
 All Monte Carlo sampling is counter-based: any statistic is a pure function of
 (spec, parameters, master seed), independent of worker count.
@@ -46,6 +50,9 @@ from .treewalk import TreeLeafSystem
 
 DEFAULT_LEAF_CAP = 1 << 14
 MAX_LABEL_BITS = 12  # the base matrix is 2^H x 2^H; beyond this it stops being "desk scale"
+# child costs gathered per chunk of a distance table: more costs resident memory,
+# less costs Python overhead per chunk on large tables
+_GATHER_BUDGET = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -164,13 +171,14 @@ class WalkDistanceEngine:
     """Bulk iterated-distance computation at a fixed (spec, n, m) shape.
 
     Subtree read patterns are interned into canonical classes level by level
-    (children sorted, so automorphic patterns share a class); the distance
-    table between the classes of two trees is then built bottom-up with the
-    child assignments solved for all class pairs at once.  Intern tables are
-    shared across points, so repeated patterns cost nothing.
+    (children sorted, so automorphic patterns share a class).  `distance_table`
+    then builds, bottom-up, one table between the classes of all row points
+    and all column points, the child assignments of every class pair solved
+    at once; each class pair is solved once however many points share it.
+    Intern tables are shared across points, so repeated patterns cost nothing.
 
-    Build all profiles first (single-threaded), then `distance` only reads
-    shared state and may be called concurrently.
+    Build all profiles first (single-threaded), then `distance` and
+    `distance_table` only read shared state and may be called concurrently.
     """
 
     def __init__(self, spec: GroupSpec, n: int, m: int, leaf_cap: int = DEFAULT_LEAF_CAP):
@@ -187,10 +195,10 @@ class WalkDistanceEngine:
             )
         if self.height > MAX_LABEL_BITS:
             raise SizeCapError(f"observation depth {self.height} exceeds {MAX_LABEL_BITS}")
-        # per height: canonical row -> class id, plus the defining child arrays
+        # per height: canonical row -> class id, plus each class's sorted
+        # (child bit, child class) row, bits in the even columns
         self._tables: list[dict] = [dict() for _ in range(self.height + 1)]
-        self._def_bits: list[list[np.ndarray]] = [[] for _ in range(self.height + 1)]
-        self._def_subs: list[list[np.ndarray]] = [[] for _ in range(self.height + 1)]
+        self._defs = [np.zeros((0, 2 * self.r), dtype=np.int64) for _ in range(self.height + 1)]
         self._profiles: dict = {}
         # (scenery, tail) -> bits read at least `height` deep; a run of engines
         # may share one dict, built deepest first, so each point is read once
@@ -221,9 +229,6 @@ class WalkDistanceEngine:
         if bits is None:
             bits = self._bit_lists[at] = _read_bits(self.spec, p, self.height)
         cls = np.zeros(r**self.height, dtype=np.int64)  # height 0: one class
-        if not self._def_bits[0]:
-            self._def_bits[0].append(np.zeros(0, dtype=np.int64))
-            self._def_subs[0].append(np.zeros(0, dtype=np.int64))
         uniq_per_height = [np.array([0], dtype=np.int64)]
         for h in range(1, self.height + 1):
             child_bits = bits[self.height - h].astype(np.int64)
@@ -238,15 +243,16 @@ class WalkDistanceEngine:
             uniq_rows[:, 1::2] = key[first] % big
             table = self._tables[h]
             ids = np.empty(len(uniq_rows), dtype=np.int64)
+            fresh = []
             for t, row in enumerate(uniq_rows):
                 k = row.tobytes()
                 gid = table.get(k)
                 if gid is None:
-                    gid = len(self._def_bits[h])
-                    table[k] = gid
-                    self._def_bits[h].append(row[0::2].copy())
-                    self._def_subs[h].append(row[1::2].copy())
+                    gid = table[k] = len(table)
+                    fresh.append(row)
                 ids[t] = gid
+            if fresh:
+                self._defs[h] = np.concatenate([self._defs[h], fresh])
             cls = ids[inverse]
             uniq_per_height.append(np.unique(cls))
         assert cls.shape == (1,)
@@ -254,42 +260,67 @@ class WalkDistanceEngine:
 
     def distance(self, px: WalkPoint, py: WalkPoint) -> float:
         """Iterated distance at depth n between two walk points."""
-        pa, pb = self.profile(px), self.profile(py)
-        r = self.r
-        w = np.zeros((1, 1))
-        lut_x = np.zeros(1, dtype=np.int64)
-        lut_y = np.zeros(1, dtype=np.int64)
-        for h in range(1, self.height + 1):
-            ux = pa[h]
-            uy = pb[h]
-            lx, ly = w.shape
-            ext = np.block([[w, w + 1.0], [w + 1.0, w]])
-            def_bits = self._def_bits[h]
-            def_subs = self._def_subs[h]
-            rows_x = np.stack([def_bits[g] * lx + lut_x[def_subs[g]] for g in ux])
-            rows_y = np.stack([def_bits[g] * ly + lut_y[def_subs[g]] for g in uy])
-            w = self._assign_all_pairs(ext, rows_x, rows_y) / r
-            lut_x = np.full(len(def_bits), -1, dtype=np.int64)
-            lut_x[ux] = np.arange(len(ux))
-            lut_y = np.full(len(def_bits), -1, dtype=np.int64)
-            lut_y[uy] = np.arange(len(uy))
-        return float(w[0, 0]) / self.height
+        return float(self.distance_table([px], [py])[0, 0])
 
-    def _assign_all_pairs(self, ext, rows_x, rows_y):
-        """min over child permutations of summed extended distances, all pairs."""
-        nx, ny = rows_x.shape[0], rows_y.shape[0]
+    def distance_table(self, xs, ys) -> np.ndarray:
+        """Iterated distances at depth n, entry [i, j] between xs[i] and ys[j].
+
+        At each height the table runs over the union of the xs' subtree
+        classes (rows) and of the ys' (columns).  An entry is the cheapest
+        matching of the two classes' children, each child cost read from the
+        table one height down plus 1 where the child bits differ.  An entry
+        depends only on its own class pair and x classes stay rows, so every
+        value is bit for bit the one a table of that pair alone gives.
+        """
+        prof_x = [self.profile(p) for p in xs]
+        prof_y = [self.profile(p) for p in ys]
+        if not prof_x or not prof_y:
+            return np.zeros((len(xs), len(ys)))
+        w = np.zeros((1, 1))
+        ux = uy = np.zeros(1, dtype=np.int64)  # height 0: one class
+        for h in range(1, self.height + 1):
+            below_x, below_y = ux, uy
+            ux, uy = _class_union(prof_x, h), _class_union(prof_y, h)
+            w = self._solve_level(w, self._defs[h][ux], below_x, self._defs[h][uy], below_y)
+        roots_x = np.searchsorted(ux, [prof[-1][0] for prof in prof_x])
+        roots_y = np.searchsorted(uy, [prof[-1][0] for prof in prof_y])
+        return w[np.ix_(roots_x, roots_y)] / self.height
+
+    def _solve_level(self, w, defs_x, below_x, defs_y, below_y):
+        """One height of the table: min over child permutations of summed child
+        costs, for every (x class, y class) pair, divided by r.
+
+        `w` is the table one height down over the classes `below_x` x
+        `below_y`; child costs are gathered from it in chunks of at most
+        `_GATHER_BUDGET` elements.
+        """
         r = self.r
+        bits_x = defs_x[:, 0::2]
+        bits_y = defs_y[:, 0::2]
+        subs_x = np.searchsorted(below_x, defs_x[:, 1::2])
+        subs_y = np.searchsorted(below_y, defs_y[:, 1::2])
+        nx, ny = len(defs_x), len(defs_y)
         out = np.empty((nx, ny))
-        chunk = max(1, 4_000_000 // max(ny * r * r, 1))
-        for start in range(0, nx, chunk):
-            end = min(nx, start + chunk)
-            gathered = ext[rows_x[start:end, None, :, None], rows_y[None, :, None, :]]
-            best = None
-            for perm in self._perms:
-                cost = gathered[:, :, self._lanes, perm].sum(axis=2)
-                best = cost if best is None else np.minimum(best, cost)
-            out[start:end] = best
-        return out
+        cols = min(ny, max(1, _GATHER_BUDGET // (r * r)))
+        rows = max(1, _GATHER_BUDGET // (cols * r * r))
+        for i in range(0, nx, rows):
+            sx = subs_x[i : i + rows, None, :, None]
+            bx = bits_x[i : i + rows, None, :, None]
+            for j in range(0, ny, cols):
+                sy = subs_y[None, j : j + cols, None, :]
+                by = bits_y[None, j : j + cols, None, :]
+                child = w[sx, sy] + (bx != by)
+                best = None
+                for perm in self._perms:
+                    cost = child[:, :, self._lanes, perm].sum(axis=2)
+                    best = cost if best is None else np.minimum(best, cost)
+                out[i : i + rows, j : j + cols] = best
+        return out / r
+
+
+def _class_union(profiles, h: int) -> np.ndarray:
+    """Sorted distinct class ids at height h over the given profiles."""
+    return np.unique(np.concatenate([prof[h] for prof in profiles]))
 
 
 def pair_distance(
@@ -411,6 +442,37 @@ class BallMeasureEstimate:
     samples: int
 
 
+def ball_measure_profile(
+    p: WalkPoint,
+    spec: GroupSpec,
+    levels,
+    epsilon: float,
+    samples: int,
+    master_seed: int = 0,
+    leaf_cap: int = DEFAULT_LEAF_CAP,
+) -> list[BallMeasureEstimate]:
+    """Fraction of independently sampled points within epsilon of p, one
+    estimate per depth n in `levels` (in their order).
+
+    The same samples serve every level, and each point is read once: engines
+    are built deepest first and share their bits.  Each level is one row of
+    distances, p against all samples.
+    """
+    if samples < 100:
+        raise StructuralError("ball measure estimates need at least 100 samples")
+    others = [walk_point(spec, a, p.m) for a, _ in _pair_seeds(master_seed, samples)]
+    bit_lists: dict = {}
+    estimates = {}
+    for n in sorted(set(levels), reverse=True):
+        engine = WalkDistanceEngine(spec, n, p.m, leaf_cap)
+        engine._bit_lists = bit_lists
+        values = engine.distance_table([p], others)[0]
+        hits = int(np.sum(values < epsilon))
+        lo, hi = wilson_interval(hits, samples)
+        estimates[n] = BallMeasureEstimate(n, p.m, epsilon, hits / samples, lo, hi, samples)
+    return [estimates[n] for n in levels]
+
+
 def ball_measure_estimate(
     p: WalkPoint,
     spec: GroupSpec,
@@ -421,26 +483,11 @@ def ball_measure_estimate(
     leaf_cap: int = DEFAULT_LEAF_CAP,
     workers: int = 1,
 ) -> BallMeasureEstimate:
-    """Fraction of independently sampled points within epsilon of p at depth n."""
-    if samples < 100:
-        raise StructuralError("ball measure estimates need at least 100 samples")
-    engine = WalkDistanceEngine(spec, n, p.m, leaf_cap)
-    others = [walk_point(spec, a, p.m) for a, _ in _pair_seeds(master_seed, samples)]
-    engine.profile(p)
-    for q in others:
-        engine.profile(q)
-    values = _run_indexed(lambda i: engine.distance(p, others[i]), samples, workers)
-    hits = int(np.sum(values < epsilon))
-    lo, hi = wilson_interval(hits, samples)
-    return BallMeasureEstimate(
-        n=n,
-        m=p.m,
-        epsilon=epsilon,
-        fraction=hits / samples,
-        ci_low=lo,
-        ci_high=hi,
-        samples=samples,
-    )
+    """Fraction of independently sampled points within epsilon of p at depth n.
+
+    `workers` is accepted and ignored: the distances are one table row.
+    """
+    return ball_measure_profile(p, spec, [n], epsilon, samples, master_seed, leaf_cap)[0]
 
 
 def sample_distance_matrix(
@@ -455,19 +502,14 @@ def sample_distance_matrix(
     """Pairwise iterated distances between `points` independent sample points.
 
     The empirical space (uniform measure on the samples, this matrix) is the
-    Monte Carlo stand-in for the level-n metric-measure space.
+    Monte Carlo stand-in for the level-n metric-measure space.  It is one
+    distance table of the points against themselves; entry [i, j] and [j, i]
+    both take the table's value for i < j.  `workers` is accepted and ignored.
     """
     engine = WalkDistanceEngine(spec, n, m, leaf_cap)
     pts = [walk_point(spec, a, m) for a, _ in _pair_seeds(master_seed, points)]
-    for p in pts:
-        engine.profile(p)
-    index_pairs = [(i, j) for i in range(points) for j in range(i + 1, points)]
-    values = _run_indexed(
-        lambda k: engine.distance(pts[index_pairs[k][0]], pts[index_pairs[k][1]]),
-        len(index_pairs),
-        workers,
-    )
+    table = engine.distance_table(pts, pts)
+    i, j = np.triu_indices(points, 1)
     d = np.zeros((points, points))
-    for k, (i, j) in enumerate(index_pairs):
-        d[i, j] = d[j, i] = values[k]
+    d[i, j] = d[j, i] = table[i, j]
     return d

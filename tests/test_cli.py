@@ -4,6 +4,7 @@ from pathlib import Path
 
 import pytest
 
+from filtlab import cli
 from filtlab.cli import compare_results, load_config, main, run_experiment
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "demos" / "configs"
@@ -144,6 +145,57 @@ PINNED_GROUP_RESULTS = [
 ]
 
 
+def scaling_config(name, group, levels, points, seed, m):
+    return {
+        "version": 1,
+        "experiment": "scaling-fit",
+        "group": group,
+        "entropy_grid": {"epsilons": [0.05, 0.1, 0.2], "levels": levels, "sample_points": points},
+        "walk": {"m": m},
+        "seed": seed,
+        "output": {"basename": name},
+    }
+
+
+# sha256 of (CSV, JSON) of scaling-fit and ball-measure results, recorded with
+# one per-pair distance computation for each pair of points.  A config of
+# None is the demo config of that name.
+PINNED_TABLE_RESULTS = [
+    (
+        "z1_scaling",
+        None,
+        "7c5584198a8964a2625bb8df9a1fd2a29bec4cc2ea207aa566e0dbafd04f055b",
+        "93d666626ea864e14fde59ac462c7b9ff36c031590dfb0a2065699d93296c38c",
+    ),
+    # r = 6: sums of child costs are not dyadic
+    (
+        "z3_scaling",
+        scaling_config("z3_scaling", {"kind": "lattice", "d": 3}, [1, 2, 3], 12, 51, m=2),
+        "82b51c392911ec0d97f0480949010b11d833089ef2c2e134cfa3f59f7e83f9dd",
+        "33f0eb0d334be7d980b3ccc147926a3ffda7e50ebd7811ae5aa42b98663b1451",
+    ),
+    (
+        "heisenberg_scaling",
+        scaling_config("heisenberg_scaling", {"kind": "heisenberg"}, [2, 3, 4], 16, 52, m=3),
+        "3661ccc4d084b8c3a7a1886f55bb1c3dc69334b5b94c7aa1cb0e98876b35ef0e",
+        "86c1d3bf6e643e373a80a691f45b7e3196ad9b85176f6794929b0d9754dfd081",
+    ),
+    (
+        "f2_ball_small",
+        {
+            "version": 1,
+            "experiment": "ball-measure",
+            "group": {"kind": "free", "s": 2},
+            "walk": {"levels": [2, 3, 4], "m": 3, "epsilon": 0.2, "samples": 100},
+            "seed": 53,
+            "output": {"basename": "f2_ball_small"},
+        },
+        "053972cfb2296c60ae933482371d536aa02a33d6a7dfcb0ade5f7c6dd9b76954",
+        "540e4a074e07ff3de6d3204d5b2e97f3cce0900864c1d15e34b3f783ccbd1049",
+    ),
+]
+
+
 class TestResultBytes:
     @pytest.mark.parametrize(
         "name,overrides,csv_sha,json_sha", PINNED_RESULTS, ids=[p[0] for p in PINNED_RESULTS]
@@ -158,7 +210,9 @@ class TestResultBytes:
         assert hashlib.sha256(json_path.read_bytes()).hexdigest() == json_sha
 
     @pytest.mark.parametrize(
-        "name,cfg,csv_sha,json_sha", PINNED_GROUP_RESULTS, ids=[p[0] for p in PINNED_GROUP_RESULTS]
+        "name,cfg,csv_sha,json_sha",
+        PINNED_GROUP_RESULTS + PINNED_TABLE_RESULTS,
+        ids=[p[0] for p in PINNED_GROUP_RESULTS + PINNED_TABLE_RESULTS],
     )
     def test_group_result_bytes_pinned(self, tmp_path, name, cfg, csv_sha, json_sha):
         if cfg is None:
@@ -206,6 +260,20 @@ class TestRun:
         cached[0].write_bytes(marker)
         run_experiment(cfg, out_dir=str(tmp_path / "b"), cache_dir=str(cache))
         assert (tmp_path / "b" / "probe.csv").read_bytes() == marker
+
+    def test_cache_entry_of_other_version_misses(self, tmp_path, monkeypatch):
+        cfg = small_standardness_config()
+        cache = tmp_path / "cache"
+        with monkeypatch.context() as patch:
+            patch.setattr(cli, "__version__", "0.0.0")
+            run_experiment(cfg, out_dir=str(tmp_path / "old"), cache_dir=str(cache))
+        for stored in cache.iterdir():
+            stored.write_bytes(b"# poisoned=1\n" + stored.read_bytes())
+        run_experiment(cfg, out_dir=str(tmp_path / "new"), cache_dir=str(cache))
+        run_experiment(cfg, out_dir=str(tmp_path / "fresh"))
+        for name in ("probe.csv", "probe.json"):
+            assert (tmp_path / "new" / name).read_bytes() == (tmp_path / "fresh" / name).read_bytes()
+        assert len(list(cache.glob("*.csv"))) == 2
 
     def test_workers_do_not_change_bytes(self, tmp_path):
         path = write_config(tmp_path, small_standardness_config())

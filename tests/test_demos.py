@@ -17,3 +17,4 @@ def test_demo_runs(demo, tmp_path):
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"), TMPDIR=str(tmp_path))
     done = subprocess.run([sys.executable, str(demo)], cwd=tmp_path, env=env, capture_output=True, text=True)
     assert done.returncode == 0, done.stderr[-2000:]
+    assert not list(tmp_path.glob("filtlab_demo_*")), "the demo left its scratch directory behind"

@@ -1,6 +1,9 @@
+import itertools
+
 import numpy as np
 import pytest
 
+from filtlab import walksim
 from filtlab.errors import SizeCapError, StructuralError
 from filtlab.filtration import cylinder_hamming, iterate_semimetric
 from filtlab.groups import (
@@ -21,6 +24,7 @@ from filtlab.walksim import (
     _read_bits,
     _row_keys,
     ball_measure_estimate,
+    ball_measure_profile,
     hamming_base,
     identity_matching_average,
     leaf_observations,
@@ -33,7 +37,9 @@ from filtlab.walksim import (
 
 Z1 = GroupSpec.lattice(1)
 Z2 = GroupSpec.lattice(2)
+Z3 = GroupSpec.lattice(3)
 F2 = GroupSpec.free(2)
+F3 = GroupSpec.free(3)
 HEIS = GroupSpec.heisenberg()
 
 
@@ -132,6 +138,91 @@ class TestArrayReader:
 
     def test_depth_zero_reads_nothing(self):
         assert _read_bits(F2, walk_point(F2, 1, 1), 0) == []
+
+
+def per_pair_distance(engine, px, py):
+    """Reference kernel: the distance of one pair from tables over that pair's
+    classes alone, each height solved through the 2L x 2L extended table
+    [[w, w + 1], [w + 1, w]] indexed by (child bit, child class)."""
+    pa, pb = engine.profile(px), engine.profile(py)
+    r = engine.r
+    perms = [np.array(p) for p in itertools.permutations(range(r))]
+    lanes = np.arange(r)
+    w = np.zeros((1, 1))
+    lut_x = np.zeros(1, dtype=np.int64)
+    lut_y = np.zeros(1, dtype=np.int64)
+    for h in range(1, engine.height + 1):
+        defs = engine._defs[h]
+        ux, uy = pa[h], pb[h]
+        lx, ly = w.shape
+        ext = np.block([[w, w + 1.0], [w + 1.0, w]])
+        rows_x = defs[ux, 0::2] * lx + lut_x[defs[ux, 1::2]]
+        rows_y = defs[uy, 0::2] * ly + lut_y[defs[uy, 1::2]]
+        gathered = ext[rows_x[:, None, :, None], rows_y[None, :, None, :]]
+        best = None
+        for perm in perms:
+            cost = gathered[:, :, lanes, perm].sum(axis=2)
+            best = cost if best is None else np.minimum(best, cost)
+        w = best / r
+        lut_x = np.full(len(defs), -1, dtype=np.int64)
+        lut_x[ux] = np.arange(len(ux))
+        lut_y = np.full(len(defs), -1, dtype=np.int64)
+        lut_y[uy] = np.arange(len(uy))
+    return float(w[0, 0]) / engine.height
+
+
+TABLE_SPECS = [Z1, Z2, Z3, F2, F3, HEIS]
+
+
+class TestDistanceTable:
+    @pytest.mark.parametrize("m_of_n", [1, 2, None], ids=["m1", "m2", "mn"])
+    @pytest.mark.parametrize("spec", TABLE_SPECS, ids=lambda s: s.describe())
+    def test_bitwise_equal_to_per_pair_kernel(self, spec, m_of_n):
+        # r = 6 (Z3, F3): sums of six child costs are not dyadic, so only the
+        # same terms added in the same order give the same bits
+        n = 3 if spec.alphabet_size > 4 else 4
+        m = n if m_of_n is None else m_of_n
+        engine = WalkDistanceEngine(spec, n, m)
+        seeds = np.random.default_rng(100 * n + m + spec.alphabet_size).integers(1, 1 << 62, size=7)
+        pts = [walk_point(spec, int(a), m) for a in seeds]
+        ref = np.array([[per_pair_distance(engine, px, py) for py in pts] for px in pts])
+        shapes = [
+            (range(7), range(7)),  # square
+            ([2], range(7)),  # 1 x k
+            ([0, 4, 5], [1, 2, 3, 6]),  # k x k'
+            ([6, 1], [5]),
+        ]
+        for rows, cols in shapes:
+            got = engine.distance_table([pts[i] for i in rows], [pts[j] for j in cols])
+            assert got.dtype == np.float64
+            assert got.tobytes() == ref[np.ix_(list(rows), list(cols))].tobytes()
+        assert engine.distance(pts[0], pts[3]) == ref[0, 3]
+
+    @pytest.mark.parametrize("spec", [Z2, F3], ids=lambda s: s.describe())
+    def test_chunked_table_equals_reference(self, spec, monkeypatch):
+        # budgets of a few cells split the table along rows and columns
+        n = 2 if spec.alphabet_size > 4 else 4
+        engine = WalkDistanceEngine(spec, n, n)
+        seeds = np.random.default_rng(3).integers(1, 1 << 62, size=6)
+        pts = [walk_point(spec, int(a), n) for a in seeds]
+        ref = np.array([[per_pair_distance(engine, px, py) for py in pts] for px in pts])
+        r2 = spec.alphabet_size**2
+        for budget in (r2, 3 * r2, 40 * r2):
+            monkeypatch.setattr(walksim, "_GATHER_BUDGET", budget)
+            assert engine.distance_table(pts, pts).tobytes() == ref.tobytes()
+            assert engine.distance_table(pts[:2], pts[3:]).tobytes() == ref[:2, 3:].tobytes()
+
+    def test_distance_matrix_takes_upper_triangle(self):
+        # d[j, i] = d[i, j] = table[i, j] for i < j: rows stay the x points
+        n, m, points, seed = 3, 3, 9, 4
+        d = sample_distance_matrix(F3, n, m, points=points, master_seed=seed)
+        engine = WalkDistanceEngine(F3, n, m)
+        pts = [walk_point(F3, a, m) for a, _ in walksim._pair_seeds(seed, points)]
+        for i in range(points):
+            assert d[i, i] == 0.0
+            for j in range(i + 1, points):
+                want = per_pair_distance(engine, pts[i], pts[j])
+                assert d[i, j] == want and d[j, i] == want
 
 
 class TestHammingBase:
@@ -368,9 +459,27 @@ class TestMonteCarloDrivers:
         ]
         assert fractions == sorted(fractions)
 
+    def test_ball_profile_reads_each_point_once(self, monkeypatch):
+        reads = []
+
+        def counting_read(spec, point, depth):
+            reads.append(depth)
+            return _read_bits(spec, point, depth)
+
+        monkeypatch.setattr(walksim, "_read_bits", counting_read)
+        p = walk_point(F2, 13, 3)
+        levels = [3, 2, 4]
+        shared = ball_measure_profile(p, F2, levels, 0.3, samples=100, master_seed=8)
+        assert len(reads) == 100 + 1
+        assert set(reads) == {3}
+        assert [e.n for e in shared] == levels
+        for est in shared:
+            assert est == ball_measure_estimate(p, F2, est.n, 0.3, samples=100, master_seed=8)
+
     def test_distance_matrix_symmetric_and_deterministic(self):
         d1 = sample_distance_matrix(F2, 3, 3, points=8, master_seed=21, workers=1)
         d4 = sample_distance_matrix(F2, 3, 3, points=8, master_seed=21, workers=4)
         assert np.array_equal(d1, d4)
         assert np.array_equal(d1, d1.T)
         assert np.all(np.diag(d1) == 0)
+        assert sample_distance_matrix(F2, 3, 3, points=0).shape == (0, 0)
