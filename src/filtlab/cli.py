@@ -31,7 +31,7 @@ from pathlib import Path
 
 from . import __version__
 from .entropy import epsilon_entropy_bounds, scaling_exponent_fit
-from .errors import FiltlabError, SizeCapError
+from .errors import FiltlabError, SizeCapError, StructuralError
 from .groups import GroupSpec, meeting_diagnostic, sample_increments
 from .mmspace import DiscreteMeasure, SemimetricMatrix
 from .treewalk import exponential_entropy_estimate, iid_word_measure, orbit_partition
@@ -88,7 +88,7 @@ def _group_from_config(cfg: dict) -> GroupSpec:
             return GroupSpec.free(int(section["s"]))
         if kind == "heisenberg":
             return GroupSpec.heisenberg()
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, StructuralError) as exc:
         raise ConfigError(f"'group' section invalid: {exc}") from exc
     raise ConfigError(f"unknown group kind {kind!r}")
 
@@ -101,6 +101,17 @@ def _require(cfg: dict, section: str, keys) -> dict:
         if key not in sec:
             raise ConfigError(f"'{section}.{key}' missing")
     return sec
+
+
+def _positive(sec: dict, section: str, key: str) -> int:
+    """`sec[key]` as an integer of at least 1."""
+    try:
+        value = int(sec[key])
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"'{section}.{key}' must be an integer: {exc}") from exc
+    if value < 1:
+        raise ConfigError(f"'{section}.{key}' must be at least 1, got {value}")
+    return value
 
 
 def config_hash(cfg: dict, seed: int) -> str:
@@ -122,17 +133,16 @@ def _cache_key(digest: str) -> str:
 # ---------------------------------------------------------------------------
 
 
-def _run_standardness(cfg, seed, workers):
+def _run_standardness(cfg, seed):
     spec = _group_from_config(cfg)
     walk = _require(cfg, "walk", ["n_max", "pairs"])
     estimates = mean_distance_profile(
         spec,
-        n_max=int(walk["n_max"]),
+        n_max=_positive(walk, "walk", "n_max"),
         m=walk.get("m"),
-        pairs=int(walk["pairs"]),
+        pairs=_positive(walk, "walk", "pairs"),
         master_seed=seed,
         leaf_cap=int(walk.get("leaf_cap", 1 << 14)),
-        workers=workers,
     )
     header = ["n", "c_n", "ci_low", "ci_high"]
     rows = [[e.n, repr(e.mean), repr(e.ci_low), repr(e.ci_high)] for e in estimates]
@@ -144,7 +154,7 @@ def _run_standardness(cfg, seed, workers):
     return rows, header, payload
 
 
-def _run_ball_measure(cfg, seed, workers):
+def _run_ball_measure(cfg, seed):
     spec = _group_from_config(cfg)
     walk = _require(cfg, "walk", ["levels", "m", "epsilon", "samples"])
     m = int(walk["m"])
@@ -162,10 +172,10 @@ def _run_ball_measure(cfg, seed, workers):
     return rows, header, {"group": spec.describe(), "estimates": [e.__dict__ for e in estimates]}
 
 
-def _run_scaling_fit(cfg, seed, workers):
+def _run_scaling_fit(cfg, seed):
     spec = _group_from_config(cfg)
     grid = _require(cfg, "entropy_grid", ["epsilons", "levels", "sample_points"])
-    points = int(grid["sample_points"])
+    points = _positive(grid, "entropy_grid", "sample_points")
     leaf_cap = int(cfg.get("walk", {}).get("leaf_cap", 1 << 14))
     m = cfg.get("walk", {}).get("m")
     header = ["n", "epsilon", "H_lower", "H_upper", "method", "seed"]
@@ -204,9 +214,9 @@ def _run_scaling_fit(cfg, seed, workers):
     return rows, header, payload
 
 
-def _run_orbit_entropy(cfg, seed, workers):
+def _run_orbit_entropy(cfg, seed):
     sec = _require(cfg, "orbit", ["n_max", "r", "alphabet"])
-    n_max, r, k = int(sec["n_max"]), int(sec["r"]), int(sec["alphabet"])
+    n_max, r, k = _positive(sec, "orbit", "n_max"), int(sec["r"]), int(sec["alphabet"])
     header = ["n", "orbit_count", "H_bits", "h_normalized"]
     rows = []
     entropies = []
@@ -224,7 +234,7 @@ def _run_orbit_entropy(cfg, seed, workers):
     return rows, header, payload
 
 
-def _run_meeting_diagnostic(cfg, seed, workers):
+def _run_meeting_diagnostic(cfg, seed):
     spec = _group_from_config(cfg)
     sec = _require(cfg, "meeting", ["pairs", "h", "c"])
     pairs, h, c = int(sec["pairs"]), int(sec["h"]), float(sec["c"])
@@ -286,6 +296,8 @@ def _atomic_write(path: Path, data: bytes):
 
 
 def run_experiment(cfg: dict, out_dir: str, seed_override=None, threads: int = 1, cache_dir=None, verbose: bool = False) -> list:
+    """Run one experiment and write its CSV and JSON; `threads` is accepted
+    and ignored, every experiment runs serially."""
     seed = int(cfg["seed"]) if seed_override is None else int(seed_override)
     digest = config_hash(cfg, seed)
     basename = cfg.get("output", {}).get("basename") or f"{cfg['experiment']}_{digest}"
@@ -307,7 +319,7 @@ def run_experiment(cfg: dict, out_dir: str, seed_override=None, threads: int = 1
             return [csv_path, json_path]
 
     runner = _RUNNERS[cfg["experiment"]]
-    rows, header, payload = runner(cfg, seed, max(1, int(threads)))
+    rows, header, payload = runner(cfg, seed)
     meta = {"config_hash": digest, "seed": seed, "experiment": cfg["experiment"], "filtlab": __version__}
     csv_bytes = _render_csv(header, rows, meta)
     json_bytes = _render_json(payload, meta)
@@ -414,7 +426,7 @@ def _build_parser() -> argparse.ArgumentParser:
     run_p.add_argument("--config", dest="config_flag", help="path to the config file")
     run_p.add_argument("--out-dir", default=".", help="directory for result files")
     run_p.add_argument("--seed", type=int, default=None, help="override the config seed")
-    run_p.add_argument("--threads", type=int, default=1, help="worker threads")
+    run_p.add_argument("--threads", type=int, default=1, help="accepted and ignored; runs are serial")
     run_p.add_argument("--cache-dir", default=None, help="content-addressed result cache")
     run_p.add_argument("--verbose", action="store_true")
 

@@ -29,14 +29,13 @@ table.  The generic recursive `treewalk.tree_distance` on the explicit leaf
 systems is the reference the engine is tested against.
 
 All Monte Carlo sampling is counter-based: any statistic is a pure function of
-(spec, parameters, master seed), independent of worker count.
+(spec, parameters, master seed).
 """
 
 from __future__ import annotations
 
 import itertools
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -176,16 +175,12 @@ class WalkDistanceEngine:
     and all column points, the child assignments of every class pair solved
     at once; each class pair is solved once however many points share it.
     Intern tables are shared across points, so repeated patterns cost nothing.
-
-    Build all profiles first (single-threaded), then `distance` and
-    `distance_table` only read shared state and may be called concurrently.
     """
 
     def __init__(self, spec: GroupSpec, n: int, m: int, leaf_cap: int = DEFAULT_LEAF_CAP):
         if n < 1:
             raise StructuralError("depth n must be >= 1")
         self.spec = spec
-        self.n = n
         self.m = m
         self.r = spec.alphabet_size
         self.height = min(m, n)
@@ -346,26 +341,13 @@ def identity_matching_average(
 
 
 # ---------------------------------------------------------------------------
-# Monte Carlo drivers (counter-based seeding, worker-count independent)
+# Monte Carlo drivers (counter-based seeding)
 # ---------------------------------------------------------------------------
 
 
 def _pair_seeds(master_seed: int, count: int) -> list[tuple[int, int]]:
     """Two scenery seeds per index, from the Philox stream (master_seed, index)."""
     return [tuple(_philox(master_seed, i).integers(1, 1 << 62, size=2).tolist()) for i in range(count)]
-
-
-def _run_indexed(fn, count: int, workers: int) -> np.ndarray:
-    """Evaluate fn(i) for i in range(count) into slot i, any worker count."""
-    out = np.empty(count)
-    if workers <= 1:
-        for i in range(count):
-            out[i] = fn(i)
-    else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            for i, value in enumerate(pool.map(fn, range(count))):
-                out[i] = value
-    return out
 
 
 @dataclass(frozen=True)
@@ -391,25 +373,20 @@ def mean_distance_profile(
 
     Each pair is two independent sceneries with the walker at the identity
     (left-invariance of the construction justifies fixing the tail).  With
-    m=None the observation depth tracks n.
+    m=None the observation depth tracks n.  `workers` is accepted and ignored.
     """
     seeds = _pair_seeds(master_seed, pairs)
     bit_lists: dict = {}
     estimates = []
-    point_pairs: dict = {}
     # deepest first: that engine reads each point at height min(m, n_max) and
     # the shallower ones slice its bits through the shared `bit_lists`
     for n in range(n_max, 0, -1):
         m_n = n if m is None else m
         engine = WalkDistanceEngine(spec, n, m_n, leaf_cap)
         engine._bit_lists = bit_lists
-        if m_n not in point_pairs:
-            point_pairs[m_n] = [(walk_point(spec, a, m_n), walk_point(spec, b, m_n)) for a, b in seeds]
-        pts = point_pairs[m_n]
-        for px, py in pts:
-            engine.profile(px)
-            engine.profile(py)
-        values = _run_indexed(lambda i: engine.distance(*pts[i]), pairs, workers)
+        values = np.array(
+            [engine.distance(walk_point(spec, a, m_n), walk_point(spec, b, m_n)) for a, b in seeds]
+        )
         mean = float(np.mean(values))
         half = 1.96 * float(np.std(values, ddof=1)) / math.sqrt(pairs) if pairs > 1 else 0.0
         estimates.append(
@@ -481,12 +458,8 @@ def ball_measure_estimate(
     samples: int,
     master_seed: int = 0,
     leaf_cap: int = DEFAULT_LEAF_CAP,
-    workers: int = 1,
 ) -> BallMeasureEstimate:
-    """Fraction of independently sampled points within epsilon of p at depth n.
-
-    `workers` is accepted and ignored: the distances are one table row.
-    """
+    """Fraction of independently sampled points within epsilon of p at depth n."""
     return ball_measure_profile(p, spec, [n], epsilon, samples, master_seed, leaf_cap)[0]
 
 

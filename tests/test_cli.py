@@ -57,6 +57,32 @@ class TestConfigValidation:
         path = write_config(tmp_path, cfg)
         assert main(["run", str(path), "--out-dir", str(tmp_path)]) == 2
 
+    def assert_config_error(self, tmp_path, capsys, cfg):
+        path = write_config(tmp_path, cfg)
+        out = tmp_path / "out"
+        assert main(["run", str(path), "--out-dir", str(out)]) == 2
+        assert capsys.readouterr().err.startswith("config error:")
+        assert list(out.glob("*")) == []
+
+    @pytest.mark.parametrize(
+        "section, key",
+        [("walk", "n_max"), ("walk", "pairs"), ("entropy_grid", "sample_points"), ("orbit", "n_max")],
+    )
+    def test_size_below_one_exit_2(self, tmp_path, capsys, section, key):
+        cfg = {
+            "walk": small_standardness_config,
+            "entropy_grid": lambda: scaling_config("probe", {"kind": "lattice", "d": 1}, [1, 2], 8, 5, m=2),
+            "orbit": lambda: small_standardness_config(
+                experiment="orbit-entropy", orbit={"n_max": 3, "r": 2, "alphabet": 2}
+            ),
+        }[section]()
+        cfg[section][key] = 0
+        self.assert_config_error(tmp_path, capsys, cfg)
+
+    def test_group_dimension_zero_exit_2(self, tmp_path, capsys):
+        cfg = small_standardness_config(group={"kind": "lattice", "d": 0})
+        self.assert_config_error(tmp_path, capsys, cfg)
+
 
 # sha256 of (CSV, JSON) recorded with the element-at-a-time scenery reader;
 # any faster path must keep every result byte.  The JSON meta carries
@@ -281,6 +307,13 @@ class TestRun:
         run_experiment(cfg, out_dir=str(tmp_path / "w1"), threads=1)
         run_experiment(cfg, out_dir=str(tmp_path / "w4"), threads=4)
         assert (tmp_path / "w1" / "probe.csv").read_bytes() == (tmp_path / "w4" / "probe.csv").read_bytes()
+
+    def test_threads_flag_accepted_and_ignored(self, tmp_path):
+        path = write_config(tmp_path, small_standardness_config())
+        assert main(["run", str(path), "--out-dir", str(tmp_path / "plain")]) == 0
+        assert main(["run", str(path), "--out-dir", str(tmp_path / "t4"), "--threads", "4"]) == 0
+        for name in ("probe.csv", "probe.json"):
+            assert (tmp_path / "plain" / name).read_bytes() == (tmp_path / "t4" / name).read_bytes()
 
     def test_orbit_entropy_run(self, tmp_path):
         cfg = {

@@ -126,6 +126,11 @@ class TestArrayReader:
             # wrapping arithmetic would give (1, 0, 0) and (0, 1, 2^32) one key
             np.array([[1, 0, 0], [0, 1, big], [0, big, 0], [1, 0, 0]]),
             rng.integers(0, 1 << 40, size=(50, 3)),
+            # a column spanning 2^62 or more is packed by its ranks
+            np.array([[1, 0, 2], [0, 1 << 62, 1], [0, (1 << 62) + 3, 0], [1, 0, 2], [0, 7, 1]]),
+            np.column_stack(
+                [rng.integers(0, 3, 60), rng.integers(-(1 << 62), 1 << 62, 60), rng.integers(0, 3, 60)]
+            ),
         ):
             keys = _row_keys(rows)
             _, first = np.unique(keys, return_index=True)
