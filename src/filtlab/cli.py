@@ -103,15 +103,20 @@ def _require(cfg: dict, section: str, keys) -> dict:
     return sec
 
 
-def _positive(sec: dict, section: str, key: str) -> int:
-    """`sec[key]` as an integer of at least 1."""
+def _positive(sec, section: str, key, least: int = 1) -> int:
+    """`sec[key]` as an integer of at least `least`."""
     try:
         value = int(sec[key])
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"'{section}.{key}' must be an integer: {exc}") from exc
-    if value < 1:
-        raise ConfigError(f"'{section}.{key}' must be at least 1, got {value}")
+    if value < least:
+        raise ConfigError(f"'{section}.{key}' must be at least {least}, got {value}")
     return value
+
+
+def _depths(sec: dict, section: str, key: str) -> list[int]:
+    """`sec[key]` as a list of integers of at least 1."""
+    return [_positive(sec[key], f"{section}.{key}", i) for i in range(len(sec[key]))]
 
 
 def config_hash(cfg: dict, seed: int) -> str:
@@ -139,7 +144,7 @@ def _run_standardness(cfg, seed):
     estimates = mean_distance_profile(
         spec,
         n_max=_positive(walk, "walk", "n_max"),
-        m=walk.get("m"),
+        m=None if walk.get("m") is None else _positive(walk, "walk", "m"),
         pairs=_positive(walk, "walk", "pairs"),
         master_seed=seed,
         leaf_cap=int(walk.get("leaf_cap", 1 << 14)),
@@ -157,11 +162,13 @@ def _run_standardness(cfg, seed):
 def _run_ball_measure(cfg, seed):
     spec = _group_from_config(cfg)
     walk = _require(cfg, "walk", ["levels", "m", "epsilon", "samples"])
-    m = int(walk["m"])
+    m = _positive(walk, "walk", "m")
+    levels = _depths(walk, "walk", "levels")
+    samples = _positive(walk, "walk", "samples", least=100)
     center = walk_point(spec, seed ^ 0x5EED, m)
     header = ["group", "n", "m", "epsilon", "statistic", "value", "ci_low", "ci_high", "seed"]
     estimates = ball_measure_profile(
-        center, spec, [int(n) for n in walk["levels"]], float(walk["epsilon"]), int(walk["samples"]),
+        center, spec, levels, float(walk["epsilon"]), samples,
         master_seed=seed, leaf_cap=int(walk.get("leaf_cap", 1 << 14)),
     )
     rows = [
@@ -176,17 +183,17 @@ def _run_scaling_fit(cfg, seed):
     spec = _group_from_config(cfg)
     grid = _require(cfg, "entropy_grid", ["epsilons", "levels", "sample_points"])
     points = _positive(grid, "entropy_grid", "sample_points")
-    leaf_cap = int(cfg.get("walk", {}).get("leaf_cap", 1 << 14))
-    m = cfg.get("walk", {}).get("m")
+    walk = cfg.get("walk", {})
+    leaf_cap = int(walk.get("leaf_cap", 1 << 14))
+    m = None if walk.get("m") is None else _positive(walk, "walk", "m")
     header = ["n", "epsilon", "H_lower", "H_upper", "method", "seed"]
     rows = []
     table = {}
-    for n in grid["levels"]:
-        n = int(n)
+    for n in _depths(grid, "entropy_grid", "levels"):
         dmat = sample_distance_matrix(
             spec,
             n,
-            n if m is None else int(m),
+            n if m is None else m,
             points=points,
             master_seed=seed + n,
             leaf_cap=leaf_cap,

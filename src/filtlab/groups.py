@@ -414,22 +414,27 @@ class Scenery:
 
     The bit at an element is a keyed blake2b hash of its normal form: the
     infinite configuration exists exactly as far as it is ever read, and two
-    processes with the same seed read identical bits.
+    processes with the same seed read identical bits.  Nothing is cached:
+    `value` hashes one element, `bits` many `norm_key`s from one keyed state.
     """
 
     def __init__(self, seed: int):
         self.seed = int(seed)
         self._key = (self.seed & 0xFFFFFFFFFFFFFFFF).to_bytes(8, "little")
-        self._cache: dict = {}
 
     def value(self, element: GroupElement) -> int:
-        data = element.data
-        bit = self._cache.get(data)
-        if bit is None:
-            digest = hashlib.blake2b(element.norm_key(), key=self._key, digest_size=1)
-            bit = digest.digest()[0] & 1
-            self._cache[data] = bit
-        return bit
+        digest = hashlib.blake2b(element.norm_key(), key=self._key, digest_size=1)
+        return digest.digest()[0] & 1
+
+    def bits(self, keys) -> list[int]:
+        """`value` at each of these `norm_key`s, hashed from copies of one keyed state."""
+        keyed = hashlib.blake2b(key=self._key, digest_size=1)
+        out = []
+        for key in keys:
+            digest = keyed.copy()
+            digest.update(key)
+            out.append(digest.digest()[0] & 1)
+        return out
 
     def __eq__(self, other):
         return isinstance(other, Scenery) and other.seed == self.seed

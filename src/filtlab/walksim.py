@@ -14,10 +14,11 @@ truncated tree: everything here materializes min(m, n) levels regardless of n.
 The scenery reader steps all r^j walk positions of a level at once as int64
 arrays through the kernel in `groups` (`step_rows` for lattice coordinates
 and Heisenberg triples, `_free_levels` for free-group words as popped tail
-letters plus a coded suffix) and asks the scenery once per distinct
-element.  Depth-n bits are a prefix of depth-(n+1) bits, so
-:func:`mean_distance_profile` reads each point once, at height min(m, n_max),
-and its shallower engines slice those bits.
+letters plus a coded suffix).  That walk and its distinct elements' hash keys
+depend only on (group, tail, depth): one cached read plan serves all sceneries,
+which only hash its keys (`Scenery.bits`).  Depth-n bits are a prefix of
+depth-(n+1) bits, so :func:`mean_distance_profile` reads each point once, at
+height min(m, n_max), and its shallower engines slice those bits.
 
 Distances come from one kernel, :meth:`WalkDistanceEngine.distance_table`.
 The engine interns subtree read-patterns into canonical classes level by
@@ -84,25 +85,40 @@ def _read_bits(spec: GroupSpec, point: WalkPoint, depth: int) -> list[np.ndarray
     """Scenery bits after every prefix: bits[j-1][i] is the bit read at the
     i-th length-j word (lexicographic), starting from the tail position.
 
-    All r^j positions of level j are stepped at once as int64 rows (children
-    of row i are rows i*r .. i*r + r-1).  Every row of every level gets one
-    int64 key, and the scenery is asked once per distinct key, its bit then
-    scattered back to all rows holding that element.  The bits are those of
-    stepping word by word with `multiply`, for far fewer hashes, because
-    walk words revisit elements.
+    Only the bits of the cached :func:`_read_plan`'s distinct elements are
+    the point's own: a `Scenery` hashes their `norm_key`s in one `bits` call,
+    any other scenery is asked `value` per element.  Each bit is scattered
+    back to all rows holding its element.
     """
     if depth < 1:
         return []
-    if spec.kind == "free":
-        levels, elements = _free_levels(spec, point.tail_position.data, depth)
+    sizes, inverse, elements, keys = _read_plan(spec, point.tail_position.data, depth)
+    scenery = point.scenery
+    if isinstance(scenery, Scenery):
+        distinct = scenery.bits(keys)
     else:
-        levels, elements = _additive_levels(spec, point.tail_position.data, depth)
+        distinct = [scenery.value(GroupElement(spec, data)) for data in elements]
+    values = np.array(distinct, dtype=np.uint8)[inverse]
+    return np.split(values, np.cumsum(sizes[:-1]))
+
+
+@lru_cache(maxsize=16)
+def _read_plan(spec: GroupSpec, tail: tuple, depth: int):
+    """The scenery-independent half of a read, built once per run: level
+    sizes, a read-only index of each row's distinct element, and the distinct
+    normal forms with their `norm_key` bytes.  All r^j positions of level j
+    are stepped at once as int64 rows (children of row i are rows
+    i*r .. i*r + r-1), each keyed by one int64."""
+    if spec.kind == "free":
+        levels, elements = _free_levels(spec, tail, depth)
+    else:
+        levels, elements = _additive_levels(spec, tail, depth)
     rows = np.concatenate(levels)
     _, first, inverse = np.unique(_row_keys(rows), return_index=True, return_inverse=True)
-    scenery = point.scenery
-    distinct = [scenery.value(GroupElement(spec, data)) for data in elements(rows[first])]
-    values = np.array(distinct, dtype=np.uint8)[inverse]
-    return np.split(values, np.cumsum([len(level) for level in levels[:-1]]))
+    inverse.flags.writeable = False
+    distinct = tuple(elements(rows[first]))
+    keys = tuple(GroupElement(spec, data).norm_key() for data in distinct)
+    return tuple(map(len, levels)), inverse, distinct, keys
 
 
 def _additive_levels(spec: GroupSpec, tail: tuple, depth: int):

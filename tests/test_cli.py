@@ -79,6 +79,31 @@ class TestConfigValidation:
         cfg[section][key] = 0
         self.assert_config_error(tmp_path, capsys, cfg)
 
+    @pytest.mark.parametrize(
+        "experiment, path, value",
+        [
+            ("standardness", ("walk", "m"), 0),
+            ("ball-measure", ("walk", "m"), 0),
+            ("scaling-fit", ("walk", "m"), 0),
+            ("ball-measure", ("walk", "samples"), 99),
+            ("ball-measure", ("walk", "levels"), [2, 0]),
+            ("scaling-fit", ("entropy_grid", "levels"), [1, 0]),
+        ],
+        ids=["standardness-m", "ball-m", "scaling-m", "ball-samples", "ball-levels", "scaling-levels"],
+    )
+    def test_walk_size_out_of_range_exit_2(self, tmp_path, capsys, experiment, path, value):
+        cfg = {
+            "standardness": small_standardness_config,
+            "ball-measure": lambda: small_standardness_config(
+                experiment="ball-measure",
+                walk={"levels": [1, 2], "m": 2, "epsilon": 0.2, "samples": 100},
+            ),
+            "scaling-fit": lambda: scaling_config("probe", {"kind": "lattice", "d": 1}, [1, 2], 8, 5, m=2),
+        }[experiment]()
+        section, key = path
+        cfg[section][key] = value
+        self.assert_config_error(tmp_path, capsys, cfg)
+
     def test_group_dimension_zero_exit_2(self, tmp_path, capsys):
         cfg = small_standardness_config(group={"kind": "lattice", "d": 0})
         self.assert_config_error(tmp_path, capsys, cfg)

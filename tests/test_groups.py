@@ -329,6 +329,28 @@ class TestScenery:
         result = stats.chisquare(counts)
         assert result.pvalue > 0.001
 
+    def test_bits_equal_value(self):
+        lattice40 = GroupSpec.lattice(40)
+        cases = {
+            GroupSpec.lattice(1): [(0,), (7,), (-12345,)],
+            lattice40: [(0,) * 40, tuple(range(-20, 20)), (-123456789,) * 40],
+            GroupSpec.free(2): [(), (1,), (-2,), (1, -2, -2, 1)],
+            GroupSpec.free(11): [(), (10,), (-11, 3, 10, -10), (11,) * 5],
+            GroupSpec.heisenberg(): [(0, 0, 0), (-12, 34, 10**6 + 7), (3, -45, -(10**9))],
+        }
+        rng = np.random.default_rng(6)
+        elements = [
+            e
+            for spec, datas in cases.items()
+            for e in [GroupElement(spec, d) for d in datas] + [random_element(spec, rng) for _ in range(20)]
+        ]
+        # the longest key spans more than one 128-byte BLAKE2b block
+        assert max(len(e.norm_key()) for e in elements if e.spec == lattice40) > 128
+        for seed in (0, 1, 99, -5, 1 << 63):
+            s = Scenery(seed)
+            assert s.bits([e.norm_key() for e in elements]) == [s.value(e) for e in elements]
+        assert Scenery(3).bits([]) == []
+
     def test_dict_scenery_hook(self):
         spec = GroupSpec.lattice(1)
         s = DictScenery({(0,): 1}, default=0)

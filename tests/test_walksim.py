@@ -88,6 +88,7 @@ READER_CASES = [
     (GroupSpec.free(3), 5),
     (HEIS, 8),
     (GroupSpec.lattice(40), 2),  # 5^40 > 2^63: the row keys fall back to ranks
+    (GroupSpec.free(11), 3),  # letters 10 and 11 take two digits in the hash key
 ]
 
 
@@ -143,6 +144,64 @@ class TestArrayReader:
 
     def test_depth_zero_reads_nothing(self):
         assert _read_bits(F2, walk_point(F2, 1, 1), 0) == []
+
+
+class TestReadPlan:
+    @pytest.fixture
+    def builds(self, monkeypatch):
+        """Count the level builds behind each fresh read plan."""
+        walksim._read_plan.cache_clear()
+        calls = []
+
+        def counting(build):
+            def levels(spec, tail, depth):
+                calls.append((tail, depth))
+                return build(spec, tail, depth)
+
+            return levels
+
+        for name in ("_free_levels", "_additive_levels"):
+            monkeypatch.setattr(walksim, name, counting(getattr(walksim, name)))
+        yield calls
+        walksim._read_plan.cache_clear()
+
+    @pytest.mark.parametrize("spec", [Z2, F2, HEIS], ids=lambda s: s.describe())
+    def test_plan_built_once_per_shape(self, builds, spec):
+        tail = identity(spec)
+        first = _read_bits(spec, WalkPoint(Scenery(1), tail, 1), 4)
+        _read_bits(spec, WalkPoint(Scenery(2), tail, 1), 4)
+        _read_bits(spec, WalkPoint(DictScenery({}, default=1), tail, 1), 4)
+        assert builds == [(tail.data, 4)]
+        # a shallower read is another shape
+        _read_bits(spec, WalkPoint(Scenery(1), tail, 1), 3)
+        assert len(builds) == 2
+        again = _read_bits(spec, WalkPoint(Scenery(1), tail, 1), 4)
+        assert all(np.array_equal(a, b) for a, b in zip(first, again))
+
+    @pytest.mark.parametrize("spec", [Z2, F2, HEIS], ids=lambda s: s.describe())
+    def test_other_tail_rebuilds(self, builds, spec):
+        step = symbol_element(spec, 0)
+        _read_bits(spec, WalkPoint(Scenery(1), identity(spec), 1), 4)
+        _read_bits(spec, WalkPoint(Scenery(1), step, 1), 4)
+        assert builds == [(identity(spec).data, 4), (step.data, 4)]
+
+    def test_far_tail_not_cached(self, builds):
+        far = GroupElement(HEIS, (1 << 40, 0, 0))
+        for _ in range(2):
+            with pytest.raises(SizeCapError):
+                _read_bits(HEIS, WalkPoint(Scenery(1), far, 1), 2)
+        assert len(builds) == 2
+        assert walksim._read_plan.cache_info().currsize == 0
+
+    def test_index_read_only(self):
+        sizes, inverse, elements, keys = walksim._read_plan(F2, (), 3)
+        assert sizes == (4, 16, 64)
+        assert len(inverse) == sum(sizes)
+        assert not inverse.flags.writeable
+        with pytest.raises(ValueError):
+            inverse[0] = 0
+        assert isinstance(elements, tuple) and isinstance(keys, tuple)
+        assert keys == tuple(GroupElement(F2, data).norm_key() for data in elements)
 
 
 def per_pair_distance(engine, px, py):
