@@ -14,6 +14,8 @@ self-inverse structure, keeping the branching factor r = 2s uniform.
 Beside the scalar `multiply`, one int64 array kernel (:func:`step_rows`, and
 :func:`_free_levels` for free words) steps walks for the scenery reader, the
 meeting diagnostic and the Heisenberg norm ball, built once by BFS on it.
+The meeting diagnostic brackets the norms of all prefix products at once:
+ball lookups and the closed-form Heisenberg bracket run on whole arrays.
 
 A scenery is a deterministic fair-bit labeling of the group realized lazily:
 the bit at an element is a keyed hash of its normal form, so a walk can read
@@ -23,7 +25,6 @@ arbitrarily far without materializing anything.
 from __future__ import annotations
 
 import hashlib
-import itertools
 import math
 from dataclasses import dataclass
 from functools import lru_cache
@@ -276,20 +277,37 @@ def _heisenberg_ball() -> tuple[np.ndarray, np.ndarray]:
     return seen[order], np.repeat(np.arange(len(sizes)), sizes)[order]
 
 
-def _heisenberg_norm_bounds(rows: np.ndarray):
-    """Certified (lower, upper) word norms of int64 Heisenberg triples, one
-    at a time: exact inside the ball, else the closed-form bracket lifted
-    above its radius."""
+def _isqrt(x: np.ndarray) -> np.ndarray:
+    """Exact floor square roots of nonnegative int64 values below 2^62."""
+    root = np.sqrt(x.astype(np.float64)).astype(np.int64)
+    root -= root * root > x  # the float root is off by at most one either way
+    return root + ((root + 1) * (root + 1) <= x)
+
+
+def _heisenberg_brackets(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """:func:`_heisenberg_bounds` of each int64 triple, as two int64 arrays;
+    exact for entries below 2^60 in absolute value."""
+    a, b, c = np.abs(rows).T
+    plane = a + b
+    lower = np.maximum(plane, np.where(c > 0, _isqrt(np.maximum(4 * c - 1, 0)) + 1, 0))
+    root = _isqrt(c)
+    p = np.maximum(root + (root * root < c), 1)  # ceil(sqrt(c)), and 1 where c == 0
+    q, rem = np.divmod(c, p)
+    central = np.where(c > 0, 2 * (p + q) + np.where(rem > 0, 2 * rem + 2, 0), 0)
+    return lower, np.maximum(lower, plane + central)
+
+
+def _heisenberg_norm_bounds(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Certified (lower, upper) word norms of int64 Heisenberg triples as two
+    int64 arrays: exact inside the ball, else the closed-form bracket lifted
+    above its radius.  Exact for entries below 2^60 in absolute value."""
     keys, norms = _heisenberg_ball()
     wanted = _ball_keys(rows)
     at = np.minimum(np.searchsorted(keys, wanted), len(keys) - 1)
     exact = np.where(keys[at] == wanted, norms[at], -1)
-    for norm, data in zip(exact.tolist(), rows.tolist()):
-        if norm >= 0:
-            yield norm, norm
-        else:
-            lower, upper = _heisenberg_bounds(data)
-            yield max(lower, HEISENBERG_EXACT_NORM_CAP + 1), upper
+    lower, upper = _heisenberg_brackets(rows)
+    lower = np.maximum(lower, HEISENBERG_EXACT_NORM_CAP + 1)
+    return np.where(exact >= 0, exact, lower), np.where(exact >= 0, exact, upper)
 
 
 def _heisenberg_bounds(data: tuple) -> tuple[int, int]:
@@ -327,7 +345,8 @@ def word_norm_bounds(a: GroupElement) -> tuple[int, int]:
     lower, upper = _heisenberg_bounds(a.data)
     if lower > HEISENBERG_EXACT_NORM_CAP:  # outside the ball, and perhaps outside int64
         return lower, upper
-    return next(_heisenberg_norm_bounds(np.array([a.data], dtype=np.int64)))
+    lower, upper = _heisenberg_norm_bounds(np.array([a.data], dtype=np.int64))
+    return int(lower[0]), int(upper[0])
 
 
 def word_norm(a: GroupElement) -> int:
@@ -473,17 +492,18 @@ class MeetingResult:
         return self.n is not None
 
 
-def _prefix_norm_bounds(spec: GroupSpec, symbols):
-    """Certified (lower, upper) word norms of the running products of the
-    symbols' generators, in order; lazy for the Heisenberg group, so a
-    search that stops early computes no brackets past its stop."""
-    if spec.kind == "free":
-        norms = _reduce_onto([], _generator_rows(spec)[symbols, 0].tolist())
-    elif spec.kind == "lattice":
-        norms = np.abs(prefix_products(spec, symbols)).sum(axis=1).tolist()
-    else:
+def _prefix_norm_bounds(spec: GroupSpec, symbols) -> tuple[np.ndarray, np.ndarray]:
+    """Certified (lower, upper) word norms of all running products of the
+    symbols' generators, in order, as two int64 arrays.  Every prefix is
+    bracketed; a Heisenberg prefix of k symbols has |c| <= k^2 / 4, inside the
+    range of :func:`_heisenberg_norm_bounds` for any walk that fits in memory."""
+    if spec.kind == "heisenberg":
         return _heisenberg_norm_bounds(prefix_products(spec, symbols))
-    return zip(norms, norms)
+    if spec.kind == "free":
+        norms = np.array(_reduce_onto([], _generator_rows(spec)[symbols, 0].tolist()), dtype=np.int64)
+    else:
+        norms = np.abs(prefix_products(spec, symbols)).sum(axis=1)
+    return norms, norms
 
 
 def meeting_diagnostic(
@@ -500,17 +520,21 @@ def meeting_diagnostic(
     upper bound is used, so a returned n is always a true qualifier; steps
     whose bracket straddles the threshold are skipped and counted in
     `uncertain_skips`.  Absence is a value, not an error.
+
+    The brackets of all prefixes up to the search's end are computed at once
+    as int64 arrays, exact for walks shorter than 2^31 steps; the returned
+    bounds are Python ints.
     """
     if h < 1:
         raise StructuralError("h must be >= 1")
     top = h**5 if cap is None else min(h**5, cap)
     top = min(top, len(u), len(v))
-    brackets = zip(_prefix_norm_bounds(spec, u[:top]), _prefix_norm_bounds(spec, v[:top]))
-    uncertain = 0
-    for n, ((lo_u, hi_u), (lo_v, hi_v)) in enumerate(itertools.islice(brackets, h - 1, None), start=h):
-        threshold = c * math.sqrt(n)
-        if hi_u < threshold and hi_v < threshold:
-            return MeetingResult(n=n, norm_bound_u=hi_u, norm_bound_v=hi_v)
-        if (lo_u < threshold <= hi_u) or (lo_v < threshold <= hi_v):
-            uncertain += 1
-    return MeetingResult(n=None, uncertain_skips=uncertain)
+    lo_u, hi_u = (bound[h - 1 :] for bound in _prefix_norm_bounds(spec, u[:top]))
+    lo_v, hi_v = (bound[h - 1 :] for bound in _prefix_norm_bounds(spec, v[:top]))
+    threshold = c * np.sqrt(np.arange(h, h + len(hi_u), dtype=np.float64))
+    met = np.flatnonzero((hi_u < threshold) & (hi_v < threshold))
+    if met.size:
+        i = int(met[0])
+        return MeetingResult(n=h + i, norm_bound_u=int(hi_u[i]), norm_bound_v=int(hi_v[i]))
+    straddles = ((lo_u < threshold) & (threshold <= hi_u)) | ((lo_v < threshold) & (threshold <= hi_v))
+    return MeetingResult(n=None, uncertain_skips=int(np.count_nonzero(straddles)))

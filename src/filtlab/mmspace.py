@@ -132,12 +132,14 @@ class Partition:
         lab = np.asarray(self.block_of, dtype=int)
         if lab.ndim != 1 or lab.size == 0:
             raise StructuralError("block_of must be a nonempty integer vector")
-        uniq = np.unique(lab)
+        uniq, counts = np.unique(lab, return_counts=True)
         if uniq[0] < 0 or uniq[-1] >= lab.size:
             raise StructuralError("block labels out of range")
         if not np.array_equal(uniq, np.arange(uniq.size)):
             raise StructuralError("block labels must be 0..k-1 with no gaps")
-        blocks = tuple(tuple(np.flatnonzero(lab == b)) for b in range(uniq.size))
+        # a stable sort keeps each block's members in ascending order
+        members = np.split(np.argsort(lab, kind="stable"), np.cumsum(counts)[:-1])
+        blocks = tuple(tuple(m) for m in members)
         lab = lab.copy()
         lab.setflags(write=False)
         object.__setattr__(self, "block_of", lab)

@@ -11,7 +11,9 @@ oracle to guard it.
 
 Orbit machinery: words over a finite alphabet attached to the leaves fall into
 orbits of the automorphism action, and the entropy of the orbit partition,
-normalized by the leaf count, is the exponential-entropy sequence.
+normalized by the leaf count, is the exponential-entropy sequence.  The same
+recursion computes the orbits: a word's orbit is fixed by the multiset of its
+children's orbits, so one table per height classes every subword at once.
 """
 
 from __future__ import annotations
@@ -243,9 +245,17 @@ def orbit_partition(
     """Partition all alphabet^(r^n) leaf words into automorphism orbits.
 
     Words are indexed big-endian: word w maps to sum w_i * k^(leaves-1-i).
-    `label_of` optionally maps alphabet symbols to coarser labels before
-    orbits are taken (words are still indexed by the raw alphabet).  Returns
-    the partition together with its entropy under `word_measure`.
+    `label_of`, of shape (alphabet_size,), optionally maps alphabet symbols to
+    coarser labels before orbits are taken (words are still indexed by the
+    raw alphabet); only the order of its values matters.  Returns the
+    partition together with its entropy under `word_measure`.
+
+    Orbits are built by height over every subword of r^h leaves: a subword's
+    class is the rank of its sorted child classes, each child read off a
+    big-endian base-K digit of its index, K the subword count one height
+    down.  The height-n table classes the words themselves; block labels
+    rank orbits in lexicographic order of their sorted child classes.  Every
+    index and packed key stays below the word count, inside int64.
     """
     if n < 0 or r < 2 or alphabet_size < 1:
         raise StructuralError("need n >= 0, r >= 2, alphabet_size >= 1")
@@ -257,24 +267,21 @@ def orbit_partition(
         raise StructuralError(f"word measure must have {n_words} atoms")
     if label_of is None:
         label_of = np.arange(alphabet_size)
-    label_of = np.asarray(label_of, dtype=int)
+    label_of = np.asarray(label_of, dtype=np.int64)
+    if label_of.shape != (alphabet_size,):
+        raise StructuralError(f"label_of must have shape ({alphabet_size},), got {label_of.shape}")
 
-    # decode every word into its leaf symbols, most significant digit first
-    codes = np.arange(n_words)
-    digits = np.empty((n_words, leaves), dtype=np.int64)
-    for pos in range(leaves - 1, -1, -1):
-        digits[:, pos] = codes % alphabet_size
-        codes = codes // alphabet_size
-
-    ids = label_of[digits]
-    width = leaves
-    while width > 1:
-        width //= r
-        grouped = np.sort(ids.reshape(n_words, width, r), axis=2)
-        flat = grouped.reshape(n_words * width, r)
-        _, inverse = np.unique(flat, axis=0, return_inverse=True)
-        ids = inverse.reshape(n_words, width)
-    _, orbit_ids = np.unique(ids[:, 0], return_inverse=True)
+    # table[w]: class of subword w at the current height, ranked in the
+    # lexicographic order of its sorted child classes (labels at height 0)
+    _, table = np.unique(label_of, return_inverse=True)
+    exponents = np.arange(r - 1, -1, -1, dtype=np.int64)
+    for _ in range(n):
+        size, classes = len(table), int(table.max()) + 1
+        codes = np.arange(size**r, dtype=np.int64)
+        children = np.sort(table[codes[:, None] // size**exponents % size], axis=1)
+        # classes**r <= size**r <= n_words, so the packed key fits int64
+        _, table = np.unique(children @ classes**exponents, return_inverse=True)
+    orbit_ids = table
 
     part = Partition(orbit_ids)
     entropy = _entropy_bits(np.bincount(orbit_ids, weights=word_measure.w, minlength=part.n_blocks))

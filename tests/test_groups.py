@@ -19,6 +19,8 @@ from filtlab.groups import (
     generator,
     identity,
     inverse,
+    _heisenberg_bounds,
+    _heisenberg_brackets,
     _heisenberg_norm_bounds,
     _prefix_norm_bounds,
     meeting_diagnostic,
@@ -96,6 +98,12 @@ def replayed_products(spec, symbols):
     return out
 
 
+def bracket_pairs(bounds):
+    """(lower, upper) arrays of brackets -> a list of (lower, upper) int pairs."""
+    lower, upper = bounds
+    return list(zip(lower.tolist(), upper.tolist()))
+
+
 @lru_cache(maxsize=None)
 def heisenberg_spheres(radius):
     """Spheres 0..radius of the Heisenberg Cayley graph, by a BFS on multiply."""
@@ -136,14 +144,14 @@ class TestArrayKernel:
         if spec.kind != "free":
             rows = prefix_products(spec, symbols)
             assert [tuple(row) for row in rows.tolist()] == [e.data for e in replay]
-        assert list(_prefix_norm_bounds(spec, symbols)) == [word_norm_bounds(e) for e in replay]
+        assert bracket_pairs(_prefix_norm_bounds(spec, symbols)) == [word_norm_bounds(e) for e in replay]
 
     def test_far_triples_miss_the_ball(self):
         # unclipped, these would share a ball key: (0, 1, -2^20) the identity's
         spec = GroupSpec.heisenberg()
         far = np.array([[0, 1, -(1 << 20)], [1, 0, -(1 << 40)], [-(1 << 21), 3, 5]])
         expected = [word_norm_bounds(GroupElement(spec, tuple(row))) for row in far.tolist()]
-        assert list(_heisenberg_norm_bounds(far)) == expected
+        assert bracket_pairs(_heisenberg_norm_bounds(far)) == expected
         assert all(lo > HEISENBERG_EXACT_NORM_CAP for lo, _ in expected)
 
     def test_prefix_products_empty(self):
@@ -389,3 +397,83 @@ class TestMeetingDiagnostic:
             n = result.n
             assert result.norm_bound_u < 2.0 * np.sqrt(n)
             assert result.norm_bound_v < 2.0 * np.sqrt(n)
+
+
+class TestArrayBrackets:
+    def test_closed_form_matches_scalar_on_spheres_around_the_cap(self):
+        rows = np.array([e.data for r in (19, 20, 21) for e in heisenberg_spheres(21)[r]], dtype=np.int64)
+        assert bracket_pairs(_heisenberg_brackets(rows)) == [_heisenberg_bounds(d) for d in rows.tolist()]
+
+    def test_closed_form_matches_scalar_on_random_rows(self):
+        # |c| up to 2^40, then near squares up to 2^58, where the float
+        # square root of 4|c| - 1 or |c| can round up to the next integer
+        rng = np.random.default_rng(13)
+        plane = rng.integers(-(1 << 30), 1 << 30, size=(3000, 2))
+        central = rng.integers(-(1 << 40), (1 << 40) + 1, size=3000)
+        roots = rng.integers(1 << 26, 1 << 29, size=3000)
+        near_squares = roots * roots + rng.integers(-2, 3, size=3000)
+        small = rng.integers(-50, 51, size=3000)
+        rows = np.concatenate([
+            np.column_stack([plane, central]),
+            np.column_stack([plane % 7, near_squares * rng.choice([-1, 1], size=3000)]),
+            np.column_stack([small, small[::-1], small * 3]),
+        ])
+        assert bracket_pairs(_heisenberg_brackets(rows)) == [_heisenberg_bounds(d) for d in rows.tolist()]
+
+    def test_norm_bounds_exact_inside_lifted_outside(self):
+        spheres = heisenberg_spheres(21)
+        rows = np.array([e.data for r in (0, 7, 20, 21) for e in spheres[r]], dtype=np.int64)
+        radii = [r for r in (0, 7, 20, 21) for _ in spheres[r]]
+        expected = [
+            (r, r) if r <= HEISENBERG_EXACT_NORM_CAP else (max(lo, HEISENBERG_EXACT_NORM_CAP + 1), hi)
+            for r, (lo, hi) in zip(radii, map(_heisenberg_bounds, rows.tolist()))
+        ]
+        assert bracket_pairs(_heisenberg_norm_bounds(rows)) == expected
+
+
+def rescanned_meeting(spec, u, v, h, c, cap=None):
+    """The meeting search as a scalar scan over brackets from replayed products."""
+    top = min(h**5 if cap is None else min(h**5, cap), len(u), len(v))
+    brackets_u = [word_norm_bounds(e) for e in replayed_products(spec, u[:top])]
+    brackets_v = [word_norm_bounds(e) for e in replayed_products(spec, v[:top])]
+    uncertain = 0
+    for n in range(h, top + 1):
+        (lo_u, hi_u), (lo_v, hi_v) = brackets_u[n - 1], brackets_v[n - 1]
+        threshold = c * np.sqrt(n)
+        if hi_u < threshold and hi_v < threshold:
+            return n, hi_u, hi_v, 0
+        uncertain += (lo_u < threshold <= hi_u) or (lo_v < threshold <= hi_v)
+    return None, None, None, uncertain
+
+
+class TestMeetingRescan:
+    @pytest.mark.parametrize("spec", SPECS, ids=lambda s: s.describe())
+    def test_matches_scalar_rescan(self, spec):
+        rng = np.random.default_rng(14)
+        outcomes = set()
+        for trial in range(40):
+            u = rng.integers(0, spec.alphabet_size, int(rng.integers(0, 300)))
+            v = u.copy() if trial % 4 == 0 else rng.integers(0, spec.alphabet_size, 300)
+            h = int(rng.integers(1, 5))
+            c = float(rng.choice([0.3, 0.6, 1.0, 1.5, 2.5]))
+            result = meeting_diagnostic(spec, u, v, h, c, cap=256)
+            n, hi_u, hi_v, uncertain = rescanned_meeting(spec, u, v, h, c, cap=256)
+            assert result.n == n
+            assert result.uncertain_skips == uncertain
+            if result.found:
+                assert (result.norm_bound_u, result.norm_bound_v) == (hi_u, hi_v)
+                assert type(result.norm_bound_u) is int and type(result.norm_bound_v) is int
+            outcomes.add((result.found, uncertain > 0))
+        assert {found for found, _ in outcomes} == {True, False}
+
+    def test_heisenberg_straddles_are_counted(self):
+        # past the ball the brackets are wide, so a threshold between their
+        # ends is skipped and counted
+        spec = GroupSpec.heisenberg()
+        for seed in range(3):
+            u = sample_increments(spec, 1024, seed=2 * seed)
+            v = sample_increments(spec, 1024, seed=2 * seed + 1)
+            result = meeting_diagnostic(spec, u, v, h=4, c=1.0)
+            n, _, _, uncertain = rescanned_meeting(spec, u, v, 4, 1.0)
+            assert result.n is n is None
+            assert result.uncertain_skips == uncertain > 0

@@ -66,6 +66,19 @@ class TestTypes:
         assert p.n_blocks == 2
         assert list(p.block_of) == [0, 0, 1, 1]
 
+    def test_partition_blocks_match_per_block_scan(self):
+        rng = np.random.default_rng(7)
+        for size in (1, 2, 9, 500):
+            for k in sorted({1, 2, 5, size}):
+                if k > size:
+                    continue
+                labels = np.concatenate([np.arange(k), rng.integers(0, k, size - k)])
+                rng.shuffle(labels)
+                expected = tuple(tuple(np.flatnonzero(labels == b)) for b in range(k))
+                blocks = Partition(labels).blocks
+                assert blocks == expected
+                assert all(type(i) is np.int64 for members in blocks for i in members)
+
     def test_partition_rejects_overlap(self):
         with pytest.raises(StructuralError):
             Partition.from_blocks(3, [[0, 1], [1, 2]])

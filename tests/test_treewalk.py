@@ -175,6 +175,37 @@ class TestOrbitPartition:
         with pytest.raises(SizeCapError):
             orbit_partition(5, 4, 2, DiscreteMeasure.uniform(2))
 
+    @pytest.mark.parametrize(
+        "n, r, k, label_of",
+        [(1, 3, 3, None), (2, 2, 3, None), (3, 2, 2, None), (2, 3, 2, None), (2, 2, 3, [5, -7, 5]),
+         (0, 2, 3, [4, -1, 4])],
+    )
+    def test_blocks_match_enumerated_orbits(self, n, r, k, label_of):
+        from filtlab.treewalk import _enumerate_automorphisms
+
+        leaves = r**n
+        symbols = np.arange(k) if label_of is None else np.unique(label_of, return_inverse=True)[1]
+        words = np.array(list(itertools.product(range(k), repeat=leaves)))  # big-endian order
+        powers = k ** np.arange(leaves - 1, -1, -1)
+        # two words share an orbit iff their least label codes over all automorphisms agree
+        least = np.min([symbols[words[:, perm]] @ powers for perm in _enumerate_automorphisms((r,) * n)], axis=0)
+        block_of = orbit_partition(n, r, k, iid_word_measure(k, leaves), label_of=label_of).partition.block_of
+        pairs = np.unique(np.stack([block_of, least]), axis=1).shape[1]
+        assert pairs == len(np.unique(block_of)) == len(np.unique(least))
+
+    @pytest.mark.parametrize("label_of", [[0], [0, 1, 2], [[0, 1]], np.zeros(0)])
+    def test_label_map_shape_checked(self, label_of):
+        with pytest.raises(StructuralError):
+            orbit_partition(1, 2, 2, iid_word_measure(2, 2), label_of=label_of)
+
+    def test_label_map_values_only_matter_up_to_rank(self):
+        mu = iid_word_measure(3, 4)
+        ranked = orbit_partition(2, 2, 3, mu, label_of=[0, 2, 1])
+        for label_of in ([-2, 0, -1], [-(1 << 40), 1 << 50, 0]):
+            other = orbit_partition(2, 2, 3, mu, label_of=label_of)
+            assert np.array_equal(ranked.partition.block_of, other.partition.block_of)
+            assert ranked.entropy_bits == other.entropy_bits
+
     def test_label_map_coarsens(self):
         # mapping both symbols to one label collapses everything to one orbit
         mu = iid_word_measure(2, 2)
