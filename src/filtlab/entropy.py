@@ -26,6 +26,7 @@ import heapq
 import itertools
 import math
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 import numpy as np
 
@@ -36,6 +37,12 @@ from .transport import kantorovich
 STRICT_MARGIN = 1e-12
 ORACLE_ATOM_CAP = 5
 ORACLE_GRID_STEP = 1e-3
+# oracle memos (see epsilon_entropy_oracle): dual-vertex sets and coarse-pass
+# k-values of this many recent metrics and spaces; a k-value chunk holds at
+# most _KVALUE_BUDGET products, which bounds its temporary at 512 KiB
+_VERTEX_SETS = 64
+_COARSE_SPACES = 4
+_KVALUE_BUDGET = 1 << 16
 
 
 def binary_entropy(t: float) -> float:
@@ -269,9 +276,19 @@ def epsilon_entropy_oracle(
     description of the transport polytope.  The reported `grid_error` is the
     entropy-continuity slack of the final grid resolution: how far the true
     infimum plausibly sits below `value`.
+
+    The epsilon-independent work is memoized per process: the weight grid of
+    each (atoms, support, step), the dual vertices of each metric (keyed by
+    the bytes of `d.d`, last `_VERTEX_SETS` metrics) and the coarse-grid
+    k-values of each space (keyed by the bytes of `d.d` and `mu.w`, last
+    `_COARSE_SPACES` spaces), so a sweep over epsilon on one space pays for
+    them once.  The grids number at most 57; both bounds are module
+    constants, not options.  Cached arrays are read-only.
     """
     if epsilon <= 0:
         raise DomainError("epsilon must be positive")
+    if d.size != mu.size:
+        raise StructuralError("semimetric and measure sizes differ")
     n = d.size
     if n > ORACLE_ATOM_CAP:
         raise SizeCapError(f"oracle handles at most {ORACLE_ATOM_CAP} atoms, got {n}")
@@ -280,11 +297,8 @@ def epsilon_entropy_oracle(
         raise StructuralError("oracle requires a true semimetric (triangle inequality)")
     budget = epsilon - STRICT_MARGIN
     w = mu.w
-    potentials = _lipschitz_vertices(d.d)
-
-    def kvalue(lams: np.ndarray) -> np.ndarray:
-        # k(lam, mu) = max over dual vertices u of u . (lam - mu)
-        return ((lams - w) @ potentials.T).max(axis=1)
+    d_key = d.d.tobytes()
+    potentials = _dual_vertices(d_key, n)
 
     def refine_from(support, seed, best):
         """Staged local search; recenters on the feasible minimum, or walks
@@ -292,7 +306,7 @@ def epsilon_entropy_oracle(
         current = seed
         for radius, step in ((4e-2, 8e-3), (8e-3, 1.6e-3), (3e-3, ORACLE_GRID_STEP)):
             lams, entropies = _local_refine(n, support, current, radius=radius, step=step)
-            kv = kvalue(lams)
+            kv = _kvalues(lams, w, potentials)
             ok = kv <= budget
             if np.any(ok):
                 idx = int(np.argmin(np.where(ok, entropies, np.inf)))
@@ -303,33 +317,73 @@ def epsilon_entropy_oracle(
         return best
 
     best = _entropy_bits(w)
-    atoms = list(range(n))
-    for size in range(1, n + 1):
-        for support in itertools.combinations(atoms, size):
-            support = np.asarray(support)
-            step = _coarse_step(size)
-            lams, entropies = _simplex_grid(n, support, step)
-            ok = kvalue(lams) <= budget
-            seeds = []
-            if np.any(ok):
-                idx = int(np.argmin(np.where(ok, entropies, np.inf)))
-                best = min(best, float(entropies[idx]))
-                if size >= 3 and step > ORACLE_GRID_STEP:
-                    seeds.append(lams[idx])
-            if size >= 3:
-                # nearest-atom pushforward: the natural merge structure on
-                # this support, a seed even when the coarse grid missed the
-                # thin feasible region around it
-                assign = support[np.argmin(d.d[:, support], axis=1)]
-                push = np.zeros(n)
-                np.add.at(push, assign, w)
-                seeds.append(push)
-                if size == n:
-                    seeds.append(w.copy())
-            for seed in seeds:
-                best = refine_from(support, seed, best)
+    coarse = _coarse_kvalues(d_key, w.tobytes())
+    for combo, kv in zip(_supports(n), coarse):
+        support = np.asarray(combo)
+        size = len(combo)
+        step = _coarse_step(size)
+        lams, entropies = _simplex_grid(n, combo, step)
+        ok = kv <= budget
+        seeds = []
+        if np.any(ok):
+            idx = int(np.argmin(np.where(ok, entropies, np.inf)))
+            best = min(best, float(entropies[idx]))
+            if size >= 3 and step > ORACLE_GRID_STEP:
+                seeds.append(lams[idx])
+        if size >= 3:
+            # nearest-atom pushforward: the natural merge structure on
+            # this support, a seed even when the coarse grid missed the
+            # thin feasible region around it
+            assign = support[np.argmin(d.d[:, support], axis=1)]
+            push = np.zeros(n)
+            np.add.at(push, assign, w)
+            seeds.append(push)
+            if size == n:
+                seeds.append(w.copy())
+        for seed in seeds:
+            best = refine_from(support, seed, best)
     grid_error = _grid_error(n)
     return OracleValue(value=best, grid_error=grid_error)
+
+
+def _supports(n: int):
+    """Every support subset of n atoms, by size, then lexicographically."""
+    return [c for size in range(1, n + 1) for c in itertools.combinations(range(n), size)]
+
+
+def _kvalues(lams: np.ndarray, w: np.ndarray, potentials: np.ndarray) -> np.ndarray:
+    """k(lam, mu) = max over dual vertices u of u . (lam - mu), per row.
+
+    Rows go through in near-equal chunks of at most `_KVALUE_BUDGET` products
+    each; no chunk is a single row unless `lams` is, since numpy sends a
+    one-row product down a different BLAS routine.
+    """
+    rows = max(4, _KVALUE_BUDGET // len(potentials))
+    parts = np.array_split(lams, max(1, -(-len(lams) // rows)))
+    return np.concatenate([((part - w) @ potentials.T).max(axis=1) for part in parts])
+
+
+@lru_cache(maxsize=_COARSE_SPACES)
+def _coarse_kvalues(d_key: bytes, w_key: bytes) -> tuple:
+    """k-values of every support's coarse grid, in `_supports` order; they
+    depend on the space but not on epsilon."""
+    w = np.frombuffer(w_key)
+    n = len(w)
+    potentials = _dual_vertices(d_key, n)
+    out = []
+    for combo in _supports(n):
+        kv = _kvalues(_simplex_grid(n, combo, _coarse_step(len(combo)))[0], w, potentials)
+        kv.flags.writeable = False
+        out.append(kv)
+    return tuple(out)
+
+
+@lru_cache(maxsize=_VERTEX_SETS)
+def _dual_vertices(d_key: bytes, n: int) -> np.ndarray:
+    """Read-only `_lipschitz_vertices` of the n x n metric whose bytes are `d_key`."""
+    vertices = _lipschitz_vertices(np.frombuffer(d_key).reshape(n, n))
+    vertices.flags.writeable = False
+    return vertices
 
 
 def _coarse_step(size: int) -> float:
@@ -343,22 +397,30 @@ def _grid_error(n: int) -> float:
     return tau * math.log2(max(n - 1, 1)) + binary_entropy(min(tau, 0.5)) + 1e-9
 
 
-def _simplex_grid(n: int, support: np.ndarray, step: float):
+@lru_cache(maxsize=None)
+def _simplex_grid(n: int, support: tuple, step: float):
+    """Stars-and-bars grid of weights at `step` on `support` among n atoms,
+    read-only, with each row's entropy.  Row order matters: the oracle
+    refines the first of tied minima."""
     size = len(support)
     if size == 1:
         lams = np.zeros((1, n))
         lams[0, support[0]] = 1.0
-        return lams, np.zeros(1)
-    ticks = int(round(1.0 / step))
-    combos = itertools.combinations(range(ticks + size - 1), size - 1)
-    cuts = np.asarray(list(combos))
-    # stars and bars: differences of the cut positions give the tick counts
-    parts = np.diff(np.concatenate([
-        np.zeros((len(cuts), 1), dtype=int),
-        cuts - np.arange(size - 1),
-        np.full((len(cuts), 1), ticks, dtype=int),
-    ], axis=1), axis=1)
-    return _embed_rows(n, support, parts / ticks)
+        entropies = np.zeros(1)
+    else:
+        ticks = int(round(1.0 / step))
+        combos = itertools.combinations(range(ticks + size - 1), size - 1)
+        cuts = np.asarray(list(combos))
+        # stars and bars: differences of the cut positions give the tick counts
+        parts = np.diff(np.concatenate([
+            np.zeros((len(cuts), 1), dtype=int),
+            cuts - np.arange(size - 1),
+            np.full((len(cuts), 1), ticks, dtype=int),
+        ], axis=1), axis=1)
+        lams, entropies = _embed_rows(n, np.asarray(support), parts / ticks)
+    lams.flags.writeable = False
+    entropies.flags.writeable = False
+    return lams, entropies
 
 
 def _local_refine(n: int, support: np.ndarray, incumbent: np.ndarray, radius: float, step: float):
@@ -390,35 +452,58 @@ def _lipschitz_vertices(dd: np.ndarray) -> np.ndarray:
 
     Every vertex comes from a spanning tree of tight constraints with signed
     edge lengths; trees of K_n are enumerated via Pruefer sequences (n <= 5,
-    so at most 125 trees and 16 orientations each).
+    so at most 125 trees and 16 orientations each).  All candidates are
+    filled at once, one root-first step of every tree at a time, so each
+    value is summed along its path from the root; the feasible ones are
+    rounded to 12 decimals, and each distinct vertex is kept as it first
+    appears in (tree, signs) order, sorted.
     """
     n = dd.shape[0]
     if n == 1:
         return np.zeros((1, 1))
-    vertices = set()
-    for tree in _spanning_trees(n):
-        edges = list(tree)
-        for signs in itertools.product((1.0, -1.0), repeat=len(edges)):
-            u = np.full(n, np.nan)
-            u[0] = 0.0
-            # propagate values along the tree
-            adj = {}
-            for (a, b), s in zip(edges, signs):
-                adj.setdefault(a, []).append((b, s))
-                adj.setdefault(b, []).append((a, -s))
-            stack = [0]
-            while stack:
-                cur = stack.pop()
-                for nxt, s in adj.get(cur, []):
-                    if np.isnan(u[nxt]):
-                        u[nxt] = u[cur] + s * dd[cur, nxt]
-                        stack.append(nxt)
-            if np.any(np.isnan(u)):
-                continue
-            slack = u[:, None] - u[None, :] - dd
-            if np.max(slack) <= 1e-9:
-                vertices.add(tuple(np.round(u, 12)))
-    return np.asarray(sorted(vertices))
+    parent, child, edge, orient = _tree_steps(n)
+    signs = np.asarray(list(itertools.product((1.0, -1.0), repeat=n - 1)))
+    trees = np.arange(len(parent))
+    u = np.zeros((len(trees), len(signs), n))
+    for k in range(n - 1):
+        p, c = parent[:, k], child[:, k]
+        length = (orient[:, k] * dd[p, c])[:, None]
+        u[trees, :, c] = u[trees, :, p] + signs[:, edge[:, k]].T * length
+    u = u.reshape(-1, n)
+    slack = u[:, :, None] - u[:, None, :] - dd
+    u = np.round(u[slack.max(axis=(1, 2)) <= 1e-9], 12)
+    # rows compare by value (-0.0 == 0.0, as in a set of tuples); the first
+    # candidate of each vertex is the one kept
+    _, first = np.unique(u, axis=0, return_index=True)
+    return u[first]
+
+
+@lru_cache(maxsize=None)
+def _tree_steps(n: int):
+    """Root-first steps of every spanning tree of K_n, in `_spanning_trees`
+    order: step k of tree t sets node child[t, k] from its parent parent[t, k]
+    across edge[t, k] (an index into the tree's edge list), whose sign
+    counts as orient[t, k] = +1 from its smaller end, -1 from its larger."""
+    trees = list(_spanning_trees(n))
+    parent = np.zeros((len(trees), n - 1), dtype=np.intp)
+    child = np.zeros_like(parent)
+    edge = np.zeros_like(parent)
+    orient = np.zeros((len(trees), n - 1))
+    for t, edges in enumerate(trees):
+        adj = {}
+        for e, (a, b) in enumerate(edges):
+            adj.setdefault(a, []).append((b, e, 1.0))
+            adj.setdefault(b, []).append((a, e, -1.0))
+        order = [0]
+        for cur in order:
+            for nxt, e, o in adj[cur]:
+                if nxt not in order:
+                    k = len(order) - 1
+                    parent[t, k], child[t, k], edge[t, k], orient[t, k] = cur, nxt, e, o
+                    order.append(nxt)
+    for a in (parent, child, edge, orient):
+        a.flags.writeable = False
+    return parent, child, edge, orient
 
 
 def _spanning_trees(n: int):

@@ -16,6 +16,7 @@ model can refute fast decay but never certify the limit.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -93,24 +94,18 @@ def iterate_semimetric(
         mass = np.bincount(node_block, weights=prev_mass, minlength=n_blocks)
         null = mass <= 0.0
 
-        members_of = [np.flatnonzero(node_block == b) for b in range(n_blocks)]
+        # one conditional measure per non-null block, reused by all its pairs
         conds = []
-        for b in range(n_blocks):
+        for b in np.flatnonzero(~null):
+            members = np.flatnonzero(node_block == b)
             w = np.zeros(prev_matrix.size)
-            if not null[b]:
-                w[members_of[b]] = prev_mass[members_of[b]] / mass[b]
-            conds.append(w)
+            w[members] = prev_mass[members] / mass[b]
+            conds.append((b, DiscreteMeasure(w)))
 
         d = np.zeros((n_blocks, n_blocks))
-        for b in range(n_blocks):
-            if null[b]:
-                continue
-            cb = DiscreteMeasure(conds[b])
-            for c in range(b + 1, n_blocks):
-                if null[c]:
-                    continue
-                value, _ = kantorovich(cb, DiscreteMeasure(conds[c]), prev_matrix)
-                d[b, c] = d[c, b] = value
+        for (b, cb), (c, cc) in itertools.combinations(conds, 2):
+            value, _ = kantorovich(cb, cc, prev_matrix)
+            d[b, c] = d[c, b] = value
 
         level = LevelSemimetric(
             level=k,

@@ -1,9 +1,12 @@
+import hashlib
+import itertools
 import math
 
 import numpy as np
 import pytest
 
-from filtlab.errors import DomainError, InsufficientDataError, SizeCapError
+from filtlab import entropy
+from filtlab.errors import DomainError, InsufficientDataError, SizeCapError, StructuralError
 from filtlab.entropy import (
     ScalingFamily,
     epsilon_entropy_bounds,
@@ -34,7 +37,62 @@ def random_measure(rng, n):
     return DiscreteMeasure(w / w.sum())
 
 
+def lipschitz_vertices_reference(dd):
+    """One (tree, signs) candidate at a time, propagated by a stack walk."""
+    n = dd.shape[0]
+    if n == 1:
+        return np.zeros((1, 1))
+    vertices = set()
+    for tree in _spanning_trees(n):
+        edges = list(tree)
+        for signs in itertools.product((1.0, -1.0), repeat=len(edges)):
+            u = np.full(n, np.nan)
+            u[0] = 0.0
+            adj = {}
+            for (a, b), s in zip(edges, signs):
+                adj.setdefault(a, []).append((b, s))
+                adj.setdefault(b, []).append((a, -s))
+            stack = [0]
+            while stack:
+                cur = stack.pop()
+                for nxt, s in adj.get(cur, []):
+                    if np.isnan(u[nxt]):
+                        u[nxt] = u[cur] + s * dd[cur, nxt]
+                        stack.append(nxt)
+            if np.any(np.isnan(u)):
+                continue
+            slack = u[:, None] - u[None, :] - dd
+            if np.max(slack) <= 1e-9:
+                vertices.add(tuple(np.round(u, 12)))
+    return np.asarray(sorted(vertices))
+
+
+def clear_oracle_caches():
+    entropy._simplex_grid.cache_clear()
+    entropy._dual_vertices.cache_clear()
+    entropy._coarse_kvalues.cache_clear()
+
+
 class TestLipschitzVertices:
+    def test_matches_reference_bytes(self):
+        rng = np.random.default_rng(11)
+        for n in range(1, 6):
+            metrics = [1.0 - np.eye(n), np.zeros((n, n))]
+            for _ in range(6):
+                d = random_metric(rng, n).d
+                metrics += [d, np.round(d * 4) / 4]
+            if n >= 3:
+                # two coincident atoms: a zero off-diagonal distance
+                d = random_metric(rng, n).d.copy()
+                d[1] = d[0]
+                d[:, 1] = d[:, 0]
+                d[0, 1] = d[1, 0] = 0.0
+                metrics.append(d)
+            for dd in metrics:
+                got = _lipschitz_vertices(dd)
+                want = lipschitz_vertices_reference(dd)
+                assert got.shape == want.shape and got.tobytes() == want.tobytes()
+
     def test_spanning_tree_count(self):
         assert len(list(_spanning_trees(3))) == 3
         assert len(list(_spanning_trees(4))) == 16
@@ -120,6 +178,66 @@ class TestEntropyBounds:
 
 
 class TestOracle:
+    def test_criterion7_prefix_pinned(self):
+        # (value, grid_error) of the first 40 spaces of acceptance criterion 7
+        rng = np.random.default_rng(707)
+        out = []
+        for _ in range(40):
+            n = int(rng.integers(2, 6))
+            d = random_metric(rng, n)
+            raw = rng.random(n) + 1e-3
+            mu = DiscreteMeasure(raw / raw.sum())
+            for eps in (0.05, 0.1, 0.3):
+                o = epsilon_entropy_oracle(d, mu, eps)
+                out.append((o.value, o.grid_error))
+        digest = hashlib.sha256(repr(out).encode()).hexdigest()
+        assert digest == "0c6a98531cb64646c3668bab21719ccbec228632077ff0b2bb161bfc0307a97f"
+
+    @pytest.mark.parametrize("atoms", [1, 2, 4])
+    def test_rejects_size_mismatch(self, atoms):
+        with pytest.raises(StructuralError, match="sizes differ"):
+            epsilon_entropy_oracle(simplex_metric(3), DiscreteMeasure.uniform(atoms), 0.1)
+
+    @pytest.mark.parametrize("n", [2, 4])
+    def test_cache_keys_separate_measures_and_metrics(self, n):
+        # at 2 atoms nothing is refined: the coarse pass alone sets the value
+        rng = np.random.default_rng(12)
+        d = random_metric(rng, n)
+        changed = d.d.copy()
+        # halfway to the longest d(0, 1) the triangle inequality allows
+        longest = min((d.d[0, k] + d.d[k, 1] for k in range(2, n)), default=2 * d.d[0, 1])
+        changed[0, 1] = changed[1, 0] = (d.d[0, 1] + longest) / 2
+        a, b = random_measure(rng, n), random_measure(rng, n)
+        spaces = [(d, a), (d, b), (SemimetricMatrix(changed), a)]
+        epsilons = (0.05, 0.1, 0.3)
+        warm = [[epsilon_entropy_oracle(dd, mu, eps) for eps in epsilons] for dd, mu in spaces]
+        cold = []
+        for dd, mu in spaces:
+            clear_oracle_caches()
+            cold.append([epsilon_entropy_oracle(dd, mu, eps) for eps in epsilons])
+        assert warm == cold
+        assert cold[0] != cold[1] and cold[0] != cold[2]
+
+    def test_cached_arrays_read_only(self):
+        d = simplex_metric(4)
+        epsilon_entropy_oracle(d, DiscreteMeasure.uniform(4), 0.1)
+        lams, entropies = entropy._simplex_grid(4, (0, 1, 2), entropy._coarse_step(3))
+        vertices = entropy._dual_vertices(d.d.tobytes(), 4)
+        kvalues = entropy._coarse_kvalues(d.d.tobytes(), DiscreteMeasure.uniform(4).w.tobytes())
+        for array in (lams, entropies, vertices, kvalues[-1]):
+            with pytest.raises(ValueError):
+                array[0] = 1.0
+
+    def test_chunked_kvalues_equal_whole_product(self):
+        rng = np.random.default_rng(13)
+        d = random_metric(rng, 5)
+        w = random_measure(rng, 5).w
+        potentials = _lipschitz_vertices(d.d)
+        lams, _ = entropy._simplex_grid(5, (0, 1, 2, 3, 4), entropy._coarse_step(5))
+        assert len(lams) * len(potentials) > 4 * entropy._KVALUE_BUDGET  # several chunks
+        whole = ((lams - w) @ potentials.T).max(axis=1)
+        assert entropy._kvalues(lams, w, potentials).tobytes() == whole.tobytes()
+
     def test_refuses_large(self):
         with pytest.raises(SizeCapError):
             epsilon_entropy_oracle(simplex_metric(6), DiscreteMeasure.uniform(6), 0.1)
