@@ -119,6 +119,21 @@ def _depths(sec: dict, section: str, key: str) -> list[int]:
     return [_positive(sec[key], f"{section}.{key}", i) for i in range(len(sec[key]))]
 
 
+def _leaf_cap(walk: dict) -> int:
+    return _positive(walk, "walk", "leaf_cap") if "leaf_cap" in walk else 1 << 14
+
+
+def _positive_real(sec, section: str, key, below: float = math.inf) -> float:
+    """`sec[key]` as a finite number above 0 and below `below`."""
+    try:
+        value = float(sec[key])
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"'{section}.{key}' must be a number: {exc}") from exc
+    if not 0.0 < value < below:
+        raise ConfigError(f"'{section}.{key}' must lie in (0, {below}), got {value!r}")
+    return value
+
+
 def config_hash(cfg: dict, seed: int) -> str:
     payload = dict(cfg)
     payload["seed"] = seed
@@ -147,7 +162,7 @@ def _run_standardness(cfg, seed):
         m=None if walk.get("m") is None else _positive(walk, "walk", "m"),
         pairs=_positive(walk, "walk", "pairs"),
         master_seed=seed,
-        leaf_cap=int(walk.get("leaf_cap", 1 << 14)),
+        leaf_cap=_leaf_cap(walk),
     )
     header = ["n", "c_n", "ci_low", "ci_high"]
     rows = [[e.n, repr(e.mean), repr(e.ci_low), repr(e.ci_high)] for e in estimates]
@@ -165,11 +180,12 @@ def _run_ball_measure(cfg, seed):
     m = _positive(walk, "walk", "m")
     levels = _depths(walk, "walk", "levels")
     samples = _positive(walk, "walk", "samples", least=100)
+    epsilon = _positive_real(walk, "walk", "epsilon")
+    leaf_cap = _leaf_cap(walk)
     center = walk_point(spec, seed ^ 0x5EED, m)
     header = ["group", "n", "m", "epsilon", "statistic", "value", "ci_low", "ci_high", "seed"]
     estimates = ball_measure_profile(
-        center, spec, levels, float(walk["epsilon"]), samples,
-        master_seed=seed, leaf_cap=int(walk.get("leaf_cap", 1 << 14)),
+        center, spec, levels, epsilon, samples, master_seed=seed, leaf_cap=leaf_cap
     )
     rows = [
         [spec.describe(), e.n, e.m, repr(e.epsilon), "ball_fraction",
@@ -183,8 +199,11 @@ def _run_scaling_fit(cfg, seed):
     spec = _group_from_config(cfg)
     grid = _require(cfg, "entropy_grid", ["epsilons", "levels", "sample_points"])
     points = _positive(grid, "entropy_grid", "sample_points")
+    # the fit takes log2(1 / epsilon), so every epsilon lies in (0, 1)
+    given = grid["epsilons"]
+    epsilons = [_positive_real(given, "entropy_grid.epsilons", i, 1.0) for i in range(len(given))]
     walk = cfg.get("walk", {})
-    leaf_cap = int(walk.get("leaf_cap", 1 << 14))
+    leaf_cap = _leaf_cap(walk)
     m = None if walk.get("m") is None else _positive(walk, "walk", "m")
     header = ["n", "epsilon", "H_lower", "H_upper", "method", "seed"]
     rows = []
@@ -200,8 +219,7 @@ def _run_scaling_fit(cfg, seed):
         )
         mu = DiscreteMeasure.uniform(points)
         space = SemimetricMatrix(dmat)
-        for eps in grid["epsilons"]:
-            eps = float(eps)
+        for eps in epsilons:
             bounds = epsilon_entropy_bounds(space, mu, eps)
             table[(eps, n)] = bounds.upper
             rows.append(
@@ -223,7 +241,8 @@ def _run_scaling_fit(cfg, seed):
 
 def _run_orbit_entropy(cfg, seed):
     sec = _require(cfg, "orbit", ["n_max", "r", "alphabet"])
-    n_max, r, k = _positive(sec, "orbit", "n_max"), int(sec["r"]), int(sec["alphabet"])
+    n_max, k = _positive(sec, "orbit", "n_max"), _positive(sec, "orbit", "alphabet")
+    r = _positive(sec, "orbit", "r", least=2)
     header = ["n", "orbit_count", "H_bits", "h_normalized"]
     rows = []
     entropies = []
@@ -244,8 +263,9 @@ def _run_orbit_entropy(cfg, seed):
 def _run_meeting_diagnostic(cfg, seed):
     spec = _group_from_config(cfg)
     sec = _require(cfg, "meeting", ["pairs", "h", "c"])
-    pairs, h, c = int(sec["pairs"]), int(sec["h"]), float(sec["c"])
-    cap = int(sec.get("cap", h**5))
+    pairs, h = _positive(sec, "meeting", "pairs"), _positive(sec, "meeting", "h")
+    c = _positive_real(sec, "meeting", "c")
+    cap = _positive(sec, "meeting", "cap") if "cap" in sec else h**5
     header = ["pair", "found", "n", "norm_bound_u", "norm_bound_v", "uncertain_skips"]
     rows = []
     found = 0

@@ -37,11 +37,8 @@ from .transport import kantorovich
 STRICT_MARGIN = 1e-12
 ORACLE_ATOM_CAP = 5
 ORACLE_GRID_STEP = 1e-3
-# oracle memos (see epsilon_entropy_oracle): dual-vertex sets and coarse-pass
-# k-values of this many recent metrics and spaces; a k-value chunk holds at
-# most _KVALUE_BUDGET products, which bounds its temporary at 512 KiB
-_VERTEX_SETS = 64
-_COARSE_SPACES = 4
+# a k-value chunk holds at most _KVALUE_BUDGET products, which bounds its
+# temporary at 512 KiB
 _KVALUE_BUDGET = 1 << 16
 
 
@@ -278,12 +275,10 @@ def epsilon_entropy_oracle(
     infimum plausibly sits below `value`.
 
     The epsilon-independent work is memoized per process: the weight grid of
-    each (atoms, support, step), the dual vertices of each metric (keyed by
-    the bytes of `d.d`, last `_VERTEX_SETS` metrics) and the coarse-grid
-    k-values of each space (keyed by the bytes of `d.d` and `mu.w`, last
-    `_COARSE_SPACES` spaces), so a sweep over epsilon on one space pays for
-    them once.  The grids number at most 57; both bounds are module
-    constants, not options.  Cached arrays are read-only.
+    each (atoms, support, step), at most 57 grids shared by all spaces, and
+    the dual vertices and coarse-grid k-values of the most recent space
+    (keyed by the bytes of `d.d` and `mu.w`), so a sweep over epsilon on one
+    space pays for them once.  Cached arrays are read-only.
     """
     if epsilon <= 0:
         raise DomainError("epsilon must be positive")
@@ -297,8 +292,7 @@ def epsilon_entropy_oracle(
         raise StructuralError("oracle requires a true semimetric (triangle inequality)")
     budget = epsilon - STRICT_MARGIN
     w = mu.w
-    d_key = d.d.tobytes()
-    potentials = _dual_vertices(d_key, n)
+    potentials, coarse = _space_memo(d.d.tobytes(), w.tobytes())
 
     def refine_from(support, seed, best):
         """Staged local search; recenters on the feasible minimum, or walks
@@ -317,7 +311,6 @@ def epsilon_entropy_oracle(
         return best
 
     best = _entropy_bits(w)
-    coarse = _coarse_kvalues(d_key, w.tobytes())
     for combo, kv in zip(_supports(n), coarse):
         support = np.asarray(combo)
         size = len(combo)
@@ -363,27 +356,22 @@ def _kvalues(lams: np.ndarray, w: np.ndarray, potentials: np.ndarray) -> np.ndar
     return np.concatenate([((part - w) @ potentials.T).max(axis=1) for part in parts])
 
 
-@lru_cache(maxsize=_COARSE_SPACES)
-def _coarse_kvalues(d_key: bytes, w_key: bytes) -> tuple:
-    """k-values of every support's coarse grid, in `_supports` order; they
-    depend on the space but not on epsilon."""
+@lru_cache(maxsize=1)
+def _space_memo(d_key: bytes, w_key: bytes) -> tuple:
+    """The read-only dual vertices of the metric whose bytes are `d_key`, and
+    the read-only k-values of every support's coarse grid in `_supports`
+    order, for the measure whose bytes are `w_key`; neither depends on
+    epsilon."""
     w = np.frombuffer(w_key)
     n = len(w)
-    potentials = _dual_vertices(d_key, n)
-    out = []
+    potentials = _lipschitz_vertices(np.frombuffer(d_key).reshape(n, n))
+    potentials.flags.writeable = False
+    coarse = []
     for combo in _supports(n):
         kv = _kvalues(_simplex_grid(n, combo, _coarse_step(len(combo)))[0], w, potentials)
         kv.flags.writeable = False
-        out.append(kv)
-    return tuple(out)
-
-
-@lru_cache(maxsize=_VERTEX_SETS)
-def _dual_vertices(d_key: bytes, n: int) -> np.ndarray:
-    """Read-only `_lipschitz_vertices` of the n x n metric whose bytes are `d_key`."""
-    vertices = _lipschitz_vertices(np.frombuffer(d_key).reshape(n, n))
-    vertices.flags.writeable = False
-    return vertices
+        coarse.append(kv)
+    return potentials, tuple(coarse)
 
 
 def _coarse_step(size: int) -> float:

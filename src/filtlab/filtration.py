@@ -88,9 +88,8 @@ def iterate_semimetric(
         xi = chain.partitions[k - 1]
         n_blocks = xi.n_blocks
         # each previous node sits in exactly one xi_k block (chain is decreasing)
-        node_block = np.array(
-            [xi.block_of[members[0]] for members in prev_partition.blocks], dtype=int
-        )
+        node_block = np.empty(prev_matrix.size, dtype=int)
+        node_block[prev_partition.block_of] = xi.block_of
         mass = np.bincount(node_block, weights=prev_mass, minlength=n_blocks)
         null = mass <= 0.0
 

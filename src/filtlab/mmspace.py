@@ -2,15 +2,15 @@
 
 Everything here is a finite model: a space is a set of indexed atoms, a
 semimetric is a symmetric nonnegative matrix with zero diagonal, a measure is
-a weight vector summing to one, and a partition is a list of disjoint blocks
-covering all atoms.  All types are immutable after construction and safe to
-share across threads.
+a weight vector summing to one, and a partition is a block label per atom
+(labels 0..k-1, every label used).  All types are immutable after
+construction: their arrays are read-only.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -123,27 +123,21 @@ class DiscreteMeasure:
 
 @dataclass(frozen=True)
 class Partition:
-    """Partition of {0..size-1} into disjoint nonempty blocks."""
+    """Partition of {0..size-1} into disjoint nonempty blocks, stored as atom labels."""
 
     block_of: np.ndarray
-    blocks: tuple = field(default=())
 
     def __post_init__(self):
-        lab = np.asarray(self.block_of, dtype=int)
+        lab = np.array(self.block_of, dtype=int)
         if lab.ndim != 1 or lab.size == 0:
             raise StructuralError("block_of must be a nonempty integer vector")
-        uniq, counts = np.unique(lab, return_counts=True)
+        uniq = np.unique(lab)
         if uniq[0] < 0 or uniq[-1] >= lab.size:
             raise StructuralError("block labels out of range")
         if not np.array_equal(uniq, np.arange(uniq.size)):
             raise StructuralError("block labels must be 0..k-1 with no gaps")
-        # a stable sort keeps each block's members in ascending order
-        members = np.split(np.argsort(lab, kind="stable"), np.cumsum(counts)[:-1])
-        blocks = tuple(tuple(m) for m in members)
-        lab = lab.copy()
         lab.setflags(write=False)
         object.__setattr__(self, "block_of", lab)
-        object.__setattr__(self, "blocks", blocks)
 
     @property
     def size(self) -> int:
@@ -151,7 +145,14 @@ class Partition:
 
     @property
     def n_blocks(self) -> int:
-        return len(self.blocks)
+        return int(self.block_of.max()) + 1
+
+    @property
+    def blocks(self) -> tuple:
+        """Each block's members in ascending order, as a tuple of tuples."""
+        # a stable sort keeps each block's members in ascending order
+        order = np.argsort(self.block_of, kind="stable")
+        return tuple(tuple(m) for m in np.split(order, np.cumsum(np.bincount(self.block_of))[:-1]))
 
     @classmethod
     def from_blocks(cls, size: int, blocks) -> "Partition":
@@ -179,10 +180,10 @@ class Partition:
         """True iff every block of `finer` lies inside one block of self."""
         if finer.size != self.size:
             return False
-        for members in finer.blocks:
-            if len(set(self.block_of[list(members)])) != 1:
-                return False
-        return True
+        # each finer block takes one of its atoms' labels; all its atoms must match
+        label = np.empty(finer.n_blocks, dtype=int)
+        label[finer.block_of] = self.block_of
+        return bool(np.array_equal(label[finer.block_of], self.block_of))
 
 
 @dataclass(frozen=True)
@@ -273,7 +274,7 @@ def conditional_measure(mu: DiscreteMeasure, xi: Partition, block: int) -> Discr
         raise StructuralError("measure and partition sizes differ")
     if not (0 <= block < xi.n_blocks):
         raise StructuralError(f"block index {block} out of range")
-    members = list(xi.blocks[block])
+    members = np.flatnonzero(xi.block_of == block)
     mass = float(np.sum(mu.w[members]))
     if mass <= 0.0:
         raise DegenerateBlockError(f"block {block} has zero mass")

@@ -57,8 +57,8 @@ class Coupling:
 
 def _canonical_order(w: np.ndarray, rows: np.ndarray) -> np.ndarray:
     """Order support atoms by a relabeling-invariant key (weight, distance profile)."""
-    keys = [(w[i], tuple(np.sort(rows[i])), i) for i in range(len(w))]
-    return np.asarray(sorted(range(len(w)), key=keys.__getitem__), dtype=int)
+    # lexsort's last key is the primary one; its stability breaks full ties by index
+    return np.lexsort((*np.sort(rows, axis=1).T[::-1], w))
 
 
 def _solve_highs(a: np.ndarray, b: np.ndarray, dd: np.ndarray):

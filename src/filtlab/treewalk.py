@@ -290,6 +290,8 @@ def orbit_partition(
 
 def iid_word_measure(alphabet_size: int, leaves: int, probs=None) -> DiscreteMeasure:
     """Product measure over words of length `leaves` (fair symbols by default)."""
+    if alphabet_size < 1:
+        raise StructuralError("alphabet_size must be >= 1")
     if probs is None:
         probs = np.full(alphabet_size, 1.0 / alphabet_size)
     probs = np.asarray(probs, dtype=float)

@@ -191,6 +191,8 @@ class WalkDistanceEngine:
     and all column points, the child assignments of every class pair solved
     at once; each class pair is solved once however many points share it.
     Intern tables are shared across points, so repeated patterns cost nothing.
+    It keeps those tables and the bits read per (scenery, tail), not the
+    points' profiles: a point profiled again gets the same class ids.
     """
 
     def __init__(self, spec: GroupSpec, n: int, m: int, leaf_cap: int = DEFAULT_LEAF_CAP):
@@ -210,30 +212,16 @@ class WalkDistanceEngine:
         # (child bit, child class) row, bits in the even columns
         self._tables: list[dict] = [dict() for _ in range(self.height + 1)]
         self._defs = [np.zeros((0, 2 * self.r), dtype=np.int64) for _ in range(self.height + 1)]
-        self._profiles: dict = {}
         # (scenery, tail) -> bits read at least `height` deep; a run of engines
         # may share one dict, built deepest first, so each point is read once
         self._bit_lists: dict = {}
         self._perms = [np.array(p) for p in itertools.permutations(range(self.r))]
         self._lanes = np.arange(self.r)
 
-    def _point_key(self, p: WalkPoint):
-        # the scenery object itself is part of the key: the cache then holds a
-        # strong reference, so identity-hashed sceneries can never alias
-        return (p.scenery, p.tail_position.data, p.m)
-
     def profile(self, p: WalkPoint):
         """Per height 0..height, the sorted class ids of the point's subtrees."""
         if p.m != self.m:
             raise StructuralError(f"engine is shaped for m={self.m}, point has m={p.m}")
-        key = self._point_key(p)
-        prof = self._profiles.get(key)
-        if prof is None:
-            prof = self._build_profile(p)
-            self._profiles[key] = prof
-        return prof
-
-    def _build_profile(self, p: WalkPoint):
         r = self.r
         at = (p.scenery, p.tail_position.data)
         bits = self._bit_lists.get(at)
@@ -284,7 +272,7 @@ class WalkDistanceEngine:
         value is bit for bit the one a table of that pair alone gives.
         """
         prof_x = [self.profile(p) for p in xs]
-        prof_y = [self.profile(p) for p in ys]
+        prof_y = prof_x if ys is xs else [self.profile(p) for p in ys]
         if not prof_x or not prof_y:
             return np.zeros((len(xs), len(ys)))
         w = np.zeros((1, 1))

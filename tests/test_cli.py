@@ -88,8 +88,27 @@ class TestConfigValidation:
             ("ball-measure", ("walk", "samples"), 99),
             ("ball-measure", ("walk", "levels"), [2, 0]),
             ("scaling-fit", ("entropy_grid", "levels"), [1, 0]),
+            ("standardness", ("walk", "leaf_cap"), "big"),
+            ("scaling-fit", ("walk", "leaf_cap"), 0),
+            ("ball-measure", ("walk", "epsilon"), -1),
+            ("ball-measure", ("walk", "epsilon"), "x"),
+            ("scaling-fit", ("entropy_grid", "epsilons"), [0.05, 0]),
+            ("scaling-fit", ("entropy_grid", "epsilons"), [0.1, 1.0]),
+            ("orbit-entropy", ("orbit", "r"), 1),
+            ("orbit-entropy", ("orbit", "alphabet"), 0),
+            ("meeting-diagnostic", ("meeting", "h"), 0),
+            ("meeting-diagnostic", ("meeting", "pairs"), "x"),
+            ("meeting-diagnostic", ("meeting", "pairs"), -3),
+            ("meeting-diagnostic", ("meeting", "cap"), 0),
+            ("meeting-diagnostic", ("meeting", "c"), -1.0),
+            ("meeting-diagnostic", ("meeting", "c"), 0),
         ],
-        ids=["standardness-m", "ball-m", "scaling-m", "ball-samples", "ball-levels", "scaling-levels"],
+        ids=[
+            "standardness-m", "ball-m", "scaling-m", "ball-samples", "ball-levels", "scaling-levels",
+            "standardness-leaf-cap", "scaling-leaf-cap", "ball-epsilon", "ball-epsilon-text",
+            "scaling-epsilon-0", "scaling-epsilon-1", "orbit-r", "orbit-alphabet", "meeting-h",
+            "meeting-pairs-text", "meeting-pairs", "meeting-cap", "meeting-c", "meeting-c-0",
+        ],
     )
     def test_walk_size_out_of_range_exit_2(self, tmp_path, capsys, experiment, path, value):
         cfg = {
@@ -99,6 +118,10 @@ class TestConfigValidation:
                 walk={"levels": [1, 2], "m": 2, "epsilon": 0.2, "samples": 100},
             ),
             "scaling-fit": lambda: scaling_config("probe", {"kind": "lattice", "d": 1}, [1, 2], 8, 5, m=2),
+            "orbit-entropy": lambda: small_standardness_config(
+                experiment="orbit-entropy", orbit={"n_max": 2, "r": 2, "alphabet": 2}
+            ),
+            "meeting-diagnostic": lambda: meeting_config("probe", {"kind": "lattice", "d": 2}, 0.5, 2),
         }[experiment]()
         section, key = path
         cfg[section][key] = value

@@ -69,8 +69,7 @@ def lipschitz_vertices_reference(dd):
 
 def clear_oracle_caches():
     entropy._simplex_grid.cache_clear()
-    entropy._dual_vertices.cache_clear()
-    entropy._coarse_kvalues.cache_clear()
+    entropy._space_memo.cache_clear()
 
 
 class TestLipschitzVertices:
@@ -218,12 +217,25 @@ class TestOracle:
         assert warm == cold
         assert cold[0] != cold[1] and cold[0] != cold[2]
 
+    def test_memo_holds_the_last_space(self):
+        rng = np.random.default_rng(14)
+        first = (random_metric(rng, 4), random_measure(rng, 4))
+        second = (random_metric(rng, 4), random_measure(rng, 4))
+        clear_oracle_caches()
+        for eps in (0.05, 0.1, 0.3):
+            epsilon_entropy_oracle(*first, eps)
+        info = entropy._space_memo.cache_info()
+        assert (info.misses, info.hits) == (1, 2)
+        epsilon_entropy_oracle(*second, 0.1)
+        epsilon_entropy_oracle(*first, 0.1)
+        info = entropy._space_memo.cache_info()
+        assert (info.misses, info.hits, info.currsize) == (3, 2, 1)
+
     def test_cached_arrays_read_only(self):
         d = simplex_metric(4)
         epsilon_entropy_oracle(d, DiscreteMeasure.uniform(4), 0.1)
         lams, entropies = entropy._simplex_grid(4, (0, 1, 2), entropy._coarse_step(3))
-        vertices = entropy._dual_vertices(d.d.tobytes(), 4)
-        kvalues = entropy._coarse_kvalues(d.d.tobytes(), DiscreteMeasure.uniform(4).w.tobytes())
+        vertices, kvalues = entropy._space_memo(d.d.tobytes(), DiscreteMeasure.uniform(4).w.tobytes())
         for array in (lams, entropies, vertices, kvalues[-1]):
             with pytest.raises(ValueError):
                 array[0] = 1.0

@@ -79,6 +79,57 @@ class TestTypes:
                 assert blocks == expected
                 assert all(type(i) is np.int64 for members in blocks for i in members)
 
+    def test_partition_keeps_a_read_only_copy(self):
+        labels = np.array([0, 1, 1, 0])
+        p = Partition(labels)
+        labels[0] = 1
+        assert labels.flags.writeable
+        assert list(p.block_of) == [0, 1, 1, 0]
+        assert not p.block_of.flags.writeable
+
+    def test_coarsening_matches_per_block_scan(self):
+        def scan(coarse, fine):
+            if coarse.size != fine.size:
+                return False
+            return all(len(set(coarse.block_of[list(m)])) == 1 for m in fine.blocks)
+
+        def random_partition(size, k):
+            labels = np.concatenate([np.arange(k), rng.integers(0, k, size - k)])
+            rng.shuffle(labels)
+            return Partition(labels)
+
+        rng = np.random.default_rng(17)
+        checked = 0
+        for size in (1, 2, 3, 9, 64, 500):
+            for k in sorted({1, 2, 5, size // 2, size} - {0}):
+                if k > size:
+                    continue
+                fine = random_partition(size, k)
+                # a coarsening by merging fine labels, and an unrelated partition
+                _, merged = np.unique(rng.integers(0, 3, k)[fine.block_of], return_inverse=True)
+                # the same merge with its first, last or a random atom moved
+                moves = []
+                for at in (0, size - 1, rng.integers(size)):
+                    moved = merged.copy()
+                    moved[at] = (moved[at] + 1) % (merged.max() + 1)
+                    moves.append((Partition(np.unique(moved, return_inverse=True)[1]), fine))
+                merged = Partition(merged)
+                pairs = [
+                    (fine, fine),
+                    (merged, fine),
+                    (fine, merged),
+                    *moves,
+                    (random_partition(size, min(k, 3)), fine),
+                    (Partition.trivial(size), fine),
+                    (fine, Partition.singletons(size)),
+                    (Partition.singletons(size), fine),
+                    (Partition.trivial(size + 1), fine),
+                ]
+                for coarse, finer in pairs:
+                    assert coarse.is_coarsening_of(finer) == scan(coarse, finer)
+                    checked += 1
+        assert checked > 100
+
     def test_partition_rejects_overlap(self):
         with pytest.raises(StructuralError):
             Partition.from_blocks(3, [[0, 1], [1, 2]])

@@ -3,7 +3,7 @@ import pytest
 
 from filtlab.errors import SizeCapError, StructuralError
 from filtlab.mmspace import DiscreteMeasure, SemimetricMatrix
-from filtlab.transport import Coupling, kantorovich, kantorovich_bruteforce
+from filtlab.transport import Coupling, _canonical_order, kantorovich, kantorovich_bruteforce
 
 
 def discrete_metric(n):
@@ -115,6 +115,17 @@ class TestKantorovich:
             nup = DiscreteMeasure(nu.w[perm])
             v2, _ = kantorovich(mup, nup, dp)
             assert v1 == v2
+
+    def test_canonical_order_matches_tuple_sort(self):
+        # reference: sort atoms by (weight, sorted distance row, index) as tuples
+        rng = np.random.default_rng(21)
+        for _ in range(2000):
+            na, nb = int(rng.integers(1, 7)), int(rng.integers(1, 7))
+            w = rng.choice([0.25, 0.5, 1.0 / 3.0], size=na)
+            rows = rng.choice([0.0, -0.0, 0.5, 1.0, 2.0], size=(na, nb))
+            keys = [(w[i], tuple(np.sort(rows[i])), i) for i in range(na)]
+            want = sorted(range(na), key=keys.__getitem__)
+            assert _canonical_order(w, rows).tolist() == want
 
 
 class TestBruteforceOracle:

@@ -146,6 +146,10 @@ class TestOrbitPartition:
         assert result.orbit_count == 1
         assert result.entropy_bits == 0.0
 
+    def test_empty_alphabet_rejected(self):
+        with pytest.raises(StructuralError):
+            iid_word_measure(0, 4)
+
     def test_n2_matches_bruteforce_enumeration(self):
         # enumerate orbits of the 8-element automorphism group on 16 words
         mu = iid_word_measure(2, 4)

@@ -276,6 +276,18 @@ class TestDistanceTable:
             assert engine.distance_table(pts, pts).tobytes() == ref.tobytes()
             assert engine.distance_table(pts[:2], pts[3:]).tobytes() == ref[:2, 3:].tobytes()
 
+    def test_square_table_profiles_each_point_once(self, monkeypatch):
+        engine = WalkDistanceEngine(Z2, 3, 3)
+        pts = [walk_point(Z2, a, 3) for a, _ in walksim._pair_seeds(6, 5)]
+        calls = []
+        profile = WalkDistanceEngine.profile
+        monkeypatch.setattr(
+            WalkDistanceEngine, "profile", lambda self, p: calls.append(p) or profile(self, p)
+        )
+        square = engine.distance_table(pts, pts)
+        assert [id(p) for p in calls] == [id(p) for p in pts]
+        assert square.tobytes() == engine.distance_table(pts, list(pts)).tobytes()
+
     def test_distance_matrix_takes_upper_triangle(self):
         # d[j, i] = d[i, j] = table[i, j] for i < j: rows stay the x points
         n, m, points, seed = 3, 3, 9, 4
