@@ -114,9 +114,17 @@ def _positive(sec, section: str, key, least: int = 1) -> int:
     return value
 
 
+def _listed(sec: dict, section: str, key: str) -> list:
+    """`sec[key]`, which must be a list."""
+    if not isinstance(sec[key], list):
+        raise ConfigError(f"'{section}.{key}' must be a list, got {sec[key]!r}")
+    return sec[key]
+
+
 def _depths(sec: dict, section: str, key: str) -> list[int]:
     """`sec[key]` as a list of integers of at least 1."""
-    return [_positive(sec[key], f"{section}.{key}", i) for i in range(len(sec[key]))]
+    given = _listed(sec, section, key)
+    return [_positive(given, f"{section}.{key}", i) for i in range(len(given))]
 
 
 def _leaf_cap(walk: dict) -> int:
@@ -200,7 +208,7 @@ def _run_scaling_fit(cfg, seed):
     grid = _require(cfg, "entropy_grid", ["epsilons", "levels", "sample_points"])
     points = _positive(grid, "entropy_grid", "sample_points")
     # the fit takes log2(1 / epsilon), so every epsilon lies in (0, 1)
-    given = grid["epsilons"]
+    given = _listed(grid, "entropy_grid", "epsilons")
     epsilons = [_positive_real(given, "entropy_grid.epsilons", i, 1.0) for i in range(len(given))]
     walk = cfg.get("walk", {})
     leaf_cap = _leaf_cap(walk)

@@ -21,7 +21,8 @@ _SYM_TOL = 1e-12
 
 
 def _freeze(a: np.ndarray) -> np.ndarray:
-    a = np.ascontiguousarray(a, dtype=float)
+    """A read-only contiguous float copy; the caller's array stays its own."""
+    a = np.array(a, dtype=float, order="C")
     a.setflags(write=False)
     return a
 

@@ -21,13 +21,16 @@ depth-(n+1) bits, so :func:`mean_distance_profile` reads each point once, at
 height min(m, n_max), and its shallower engines slice those bits.
 
 Distances come from one kernel, :meth:`WalkDistanceEngine.distance_table`.
-The engine interns subtree read-patterns into canonical classes level by
-level; the table then runs, height by height, over the union of the classes
-of a set of row points and a set of column points, each entry the cheapest
-child matching read off the table one height down.  A pair distance is a
-1 x 1 table, a ball measure one row, a sample distance matrix one square
-table.  The generic recursive `treewalk.tree_distance` on the explicit leaf
-systems is the reference the engine is tested against.
+The engine keeps only the bits it has read.  A table classes the subtrees of
+all its points height by height, each class the rank of a sorted (child bit,
+child class) row among the rows present, as `treewalk.orbit_partition` does;
+it then runs over the classes of a set of row points and a set of column
+points, each entry the cheapest child matching read off the table one height
+down.  Ranks follow one canonical order, so every entry is bit for bit that
+of the pair's own table, whatever the engine computed before.  A pair
+distance is a 1 x 1 table, a ball measure one row, a sample distance matrix
+one square table.  The generic recursive `treewalk.tree_distance` on the
+explicit leaf systems is the reference the engine is tested against.
 
 All Monte Carlo sampling is counter-based: any statistic is a pure function of
 (spec, parameters, master seed).
@@ -185,14 +188,15 @@ def leaf_observations(
 class WalkDistanceEngine:
     """Bulk iterated-distance computation at a fixed (spec, n, m) shape.
 
-    Subtree read patterns are interned into canonical classes level by level
-    (children sorted, so automorphic patterns share a class).  `distance_table`
-    then builds, bottom-up, one table between the classes of all row points
-    and all column points, the child assignments of every class pair solved
-    at once; each class pair is solved once however many points share it.
-    Intern tables are shared across points, so repeated patterns cost nothing.
-    It keeps those tables and the bits read per (scenery, tail), not the
-    points' profiles: a point profiled again gets the same class ids.
+    The engine keeps only the bits it has read, per (scenery, tail).  Each
+    `distance_table` classes the subtrees of all its points at once, height by
+    height: a class is the rank of a subtree's sorted (child bit, child class)
+    row among the rows present, as in `treewalk.orbit_partition`, so
+    automorphic subtrees share a class and classes follow one canonical order
+    in every table.  The table is then built bottom-up between the classes of
+    the row points and those of the column points, the child assignments of
+    every class pair solved at once; each class pair is solved once however
+    many points share it.
     """
 
     def __init__(self, spec: GroupSpec, n: int, m: int, leaf_cap: int = DEFAULT_LEAF_CAP):
@@ -208,54 +212,22 @@ class WalkDistanceEngine:
             )
         if self.height > MAX_LABEL_BITS:
             raise SizeCapError(f"observation depth {self.height} exceeds {MAX_LABEL_BITS}")
-        # per height: canonical row -> class id, plus each class's sorted
-        # (child bit, child class) row, bits in the even columns
-        self._tables: list[dict] = [dict() for _ in range(self.height + 1)]
-        self._defs = [np.zeros((0, 2 * self.r), dtype=np.int64) for _ in range(self.height + 1)]
         # (scenery, tail) -> bits read at least `height` deep; a run of engines
         # may share one dict, built deepest first, so each point is read once
         self._bit_lists: dict = {}
         self._perms = [np.array(p) for p in itertools.permutations(range(self.r))]
         self._lanes = np.arange(self.r)
 
-    def profile(self, p: WalkPoint):
-        """Per height 0..height, the sorted class ids of the point's subtrees."""
+    def profile(self, p: WalkPoint) -> list[np.ndarray]:
+        """The point's bits as `_read_bits` gives them, at least `height`
+        levels deep, read once per (scenery, tail)."""
         if p.m != self.m:
             raise StructuralError(f"engine is shaped for m={self.m}, point has m={p.m}")
-        r = self.r
         at = (p.scenery, p.tail_position.data)
         bits = self._bit_lists.get(at)
         if bits is None:
             bits = self._bit_lists[at] = _read_bits(self.spec, p, self.height)
-        cls = np.zeros(r**self.height, dtype=np.int64)  # height 0: one class
-        uniq_per_height = [np.array([0], dtype=np.int64)]
-        for h in range(1, self.height + 1):
-            child_bits = bits[self.height - h].astype(np.int64)
-            big = int(cls.max()) + 2
-            key = child_bits * big + cls
-            key = np.sort(key.reshape(-1, r), axis=1)
-            # _row_keys keeps the lexicographic row order, so classes are
-            # interned in the same order as by sorting the rows themselves
-            _, first, inverse = np.unique(_row_keys(key), return_index=True, return_inverse=True)
-            uniq_rows = np.empty((len(first), 2 * r), dtype=np.int64)
-            uniq_rows[:, 0::2] = key[first] // big
-            uniq_rows[:, 1::2] = key[first] % big
-            table = self._tables[h]
-            ids = np.empty(len(uniq_rows), dtype=np.int64)
-            fresh = []
-            for t, row in enumerate(uniq_rows):
-                k = row.tobytes()
-                gid = table.get(k)
-                if gid is None:
-                    gid = table[k] = len(table)
-                    fresh.append(row)
-                ids[t] = gid
-            if fresh:
-                self._defs[h] = np.concatenate([self._defs[h], fresh])
-            cls = ids[inverse]
-            uniq_per_height.append(np.unique(cls))
-        assert cls.shape == (1,)
-        return uniq_per_height
+        return bits
 
     def distance(self, px: WalkPoint, py: WalkPoint) -> float:
         """Iterated distance at depth n between two walk points."""
@@ -264,25 +236,41 @@ class WalkDistanceEngine:
     def distance_table(self, xs, ys) -> np.ndarray:
         """Iterated distances at depth n, entry [i, j] between xs[i] and ys[j].
 
-        At each height the table runs over the union of the xs' subtree
-        classes (rows) and of the ys' (columns).  An entry is the cheapest
-        matching of the two classes' children, each child cost read from the
-        table one height down plus 1 where the child bits differ.  An entry
-        depends only on its own class pair and x classes stay rows, so every
-        value is bit for bit the one a table of that pair alone gives.
+        At each height the subtrees of all points are classed by rank, and the
+        table runs over the xs' classes (rows) and the ys' (columns).  An entry
+        is the cheapest matching of the two classes' children, each child cost
+        read from the table one height down plus 1 where the child bits
+        differ.  Ranks keep children in the same order in every table, an
+        entry depends only on its own class pair and x classes stay rows, so
+        every value is bit for bit the one a table of that pair alone gives,
+        whatever else the engine has seen.
         """
-        prof_x = [self.profile(p) for p in xs]
-        prof_y = prof_x if ys is xs else [self.profile(p) for p in ys]
-        if not prof_x or not prof_y:
+        if not xs or not ys:
             return np.zeros((len(xs), len(ys)))
+        points = xs if ys is xs else [*xs, *ys]
+        bits = [self.profile(p) for p in points]
+        r, nx = self.r, len(xs)
         w = np.zeros((1, 1))
-        ux = uy = np.zeros(1, dtype=np.int64)  # height 0: one class
+        cls = ux = uy = np.zeros(1, dtype=np.int64)  # height 0: one class
         for h in range(1, self.height + 1):
+            big = int(cls.max()) + 1
+            key = np.concatenate([b[self.height - h] for b in bits], dtype=np.int64)
+            key *= big
+            key += cls
+            key = key.reshape(-1, r)
+            key.sort(axis=1)
+            # _row_keys keeps the lexicographic row order, so classes are
+            # numbered in the order of the sorted rows themselves
+            _, first, cls = np.unique(_row_keys(key), return_index=True, return_inverse=True)
+            defs = np.empty((len(first), 2 * r), dtype=np.int64)
+            defs[:, 0::2], defs[:, 1::2] = np.divmod(key[first], big)
             below_x, below_y = ux, uy
-            ux, uy = _class_union(prof_x, h), _class_union(prof_y, h)
-            w = self._solve_level(w, self._defs[h][ux], below_x, self._defs[h][uy], below_y)
-        roots_x = np.searchsorted(ux, [prof[-1][0] for prof in prof_x])
-        roots_y = np.searchsorted(uy, [prof[-1][0] for prof in prof_y])
+            split = nx * r ** (self.height - h)
+            ux = np.unique(cls[:split])
+            uy = ux if ys is xs else np.unique(cls[split:])
+            w = self._solve_level(w, defs[ux], below_x, defs[uy], below_y)
+        roots_x = np.searchsorted(ux, cls[:nx])
+        roots_y = roots_x if ys is xs else np.searchsorted(uy, cls[nx:])
         return w[np.ix_(roots_x, roots_y)] / self.height
 
     def _solve_level(self, w, defs_x, below_x, defs_y, below_y):
@@ -315,11 +303,6 @@ class WalkDistanceEngine:
                     best = cost if best is None else np.minimum(best, cost)
                 out[i : i + rows, j : j + cols] = best
         return out / r
-
-
-def _class_union(profiles, h: int) -> np.ndarray:
-    """Sorted distinct class ids at height h over the given profiles."""
-    return np.unique(np.concatenate([prof[h] for prof in profiles]))
 
 
 def pair_distance(
@@ -371,13 +354,12 @@ def mean_distance_profile(
     pairs: int = 200,
     master_seed: int = 0,
     leaf_cap: int = DEFAULT_LEAF_CAP,
-    workers: int = 1,
 ) -> list[MeanDistanceEstimate]:
     """Monte Carlo mean iterated distance for n = 1..n_max with 95% intervals.
 
     Each pair is two independent sceneries with the walker at the identity
     (left-invariance of the construction justifies fixing the tail).  With
-    m=None the observation depth tracks n.  `workers` is accepted and ignored.
+    m=None the observation depth tracks n.
     """
     seeds = _pair_seeds(master_seed, pairs)
     bit_lists: dict = {}
@@ -474,14 +456,13 @@ def sample_distance_matrix(
     points: int,
     master_seed: int = 0,
     leaf_cap: int = DEFAULT_LEAF_CAP,
-    workers: int = 1,
 ) -> np.ndarray:
     """Pairwise iterated distances between `points` independent sample points.
 
     The empirical space (uniform measure on the samples, this matrix) is the
     Monte Carlo stand-in for the level-n metric-measure space.  It is one
     distance table of the points against themselves; entry [i, j] and [j, i]
-    both take the table's value for i < j.  `workers` is accepted and ignored.
+    both take the table's value for i < j.
     """
     engine = WalkDistanceEngine(spec, n, m, leaf_cap)
     pts = [walk_point(spec, a, m) for a, _ in _pair_seeds(master_seed, points)]

@@ -94,6 +94,9 @@ class TestConfigValidation:
             ("ball-measure", ("walk", "epsilon"), "x"),
             ("scaling-fit", ("entropy_grid", "epsilons"), [0.05, 0]),
             ("scaling-fit", ("entropy_grid", "epsilons"), [0.1, 1.0]),
+            ("scaling-fit", ("entropy_grid", "epsilons"), 0.1),
+            ("scaling-fit", ("entropy_grid", "levels"), 3),
+            ("ball-measure", ("walk", "levels"), 3),
             ("orbit-entropy", ("orbit", "r"), 1),
             ("orbit-entropy", ("orbit", "alphabet"), 0),
             ("meeting-diagnostic", ("meeting", "h"), 0),
@@ -106,7 +109,8 @@ class TestConfigValidation:
         ids=[
             "standardness-m", "ball-m", "scaling-m", "ball-samples", "ball-levels", "scaling-levels",
             "standardness-leaf-cap", "scaling-leaf-cap", "ball-epsilon", "ball-epsilon-text",
-            "scaling-epsilon-0", "scaling-epsilon-1", "orbit-r", "orbit-alphabet", "meeting-h",
+            "scaling-epsilon-0", "scaling-epsilon-1", "scaling-epsilons-scalar",
+            "scaling-levels-scalar", "ball-levels-scalar", "orbit-r", "orbit-alphabet", "meeting-h",
             "meeting-pairs-text", "meeting-pairs", "meeting-cap", "meeting-c", "meeting-c-0",
         ],
     )

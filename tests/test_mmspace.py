@@ -87,6 +87,19 @@ class TestTypes:
         assert list(p.block_of) == [0, 1, 1, 0]
         assert not p.block_of.flags.writeable
 
+    def test_measure_and_semimetric_keep_read_only_copies(self):
+        w = np.array([0.5, 0.5])
+        m = DiscreteMeasure(w)
+        assert m.w is not w and w.flags.writeable
+        w[0] = 0.0
+        assert m.w.tolist() == [0.5, 0.5]
+        assert not m.w.flags.writeable
+        d = np.array([[0.0, 1.0], [1.0, 0.0]])
+        s = SemimetricMatrix(d)
+        d[0, 1] = 2.0
+        assert d.flags.writeable and s.d.tolist() == [[0.0, 1.0], [1.0, 0.0]]
+        assert not s.d.flags.writeable
+
     def test_coarsening_matches_per_block_scan(self):
         def scan(coarse, fine):
             if coarse.size != fine.size:
