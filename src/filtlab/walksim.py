@@ -20,17 +20,18 @@ which only hash its keys (`Scenery.bits`).  Depth-n bits are a prefix of
 depth-(n+1) bits, so :func:`mean_distance_profile` reads each point once, at
 height min(m, n_max), and its shallower engines slice those bits.
 
-Distances come from one kernel, :meth:`WalkDistanceEngine.distance_table`.
-The engine keeps only the bits it has read.  A table classes the subtrees of
-all its points height by height, each class the rank of a sorted (child bit,
-child class) row among the rows present, as `treewalk.orbit_partition` does;
-it then runs over the classes of a set of row points and a set of column
-points, each entry the cheapest child matching read off the table one height
-down.  Ranks follow one canonical order, so every entry is bit for bit that
-of the pair's own table, whatever the engine computed before.  A pair
-distance is a 1 x 1 table, a ball measure one row, a sample distance matrix
-one square table.  The generic recursive `treewalk.tree_distance` on the
-explicit leaf systems is the reference the engine is tested against.
+Distances come from one kernel over blocks of x points against y points: a
+table is one block, a pair a 1 x 1 block, and pairs are batched into calls
+of at most `_GATHER_BUDGET` leaves.  The engine keeps only the bits it has
+read.  Per height a call ranks the subtrees of all its points at once, a
+class being the rank of a sorted (child bit, child class) row among the rows
+present (as in `treewalk.orbit_partition`), then solves every block's table
+over (x class, y class) in one padded array.  An entry is the cheapest child
+matching by a subset DP, bit for bit the r! permutation minimum (at r >= 8
+the DP defines the value; see `_min_matching`).  Ranks follow one canonical
+order, so every entry is that of the pair alone, whatever else the call
+holds.  The generic recursive `treewalk.tree_distance` on the explicit leaf
+systems is the reference the engine is tested against.
 
 All Monte Carlo sampling is counter-based: any statistic is a pure function of
 (spec, parameters, master seed).
@@ -38,10 +39,9 @@ All Monte Carlo sampling is counter-based: any statistic is a pure function of
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, reduce
 
 import numpy as np
 
@@ -53,8 +53,8 @@ from .treewalk import TreeLeafSystem
 
 DEFAULT_LEAF_CAP = 1 << 14
 MAX_LABEL_BITS = 12  # the base matrix is 2^H x 2^H; beyond this it stops being "desk scale"
-# child costs gathered per chunk of a distance table: more costs resident memory,
-# less costs Python overhead per chunk on large tables
+# child costs gathered per chunk, and leaves per batch of pairs: more costs
+# resident memory, less costs Python overhead per chunk and per batch
 _GATHER_BUDGET = 1 << 16
 
 
@@ -186,18 +186,8 @@ def leaf_observations(
 
 
 class WalkDistanceEngine:
-    """Bulk iterated-distance computation at a fixed (spec, n, m) shape.
-
-    The engine keeps only the bits it has read, per (scenery, tail).  Each
-    `distance_table` classes the subtrees of all its points at once, height by
-    height: a class is the rank of a subtree's sorted (child bit, child class)
-    row among the rows present, as in `treewalk.orbit_partition`, so
-    automorphic subtrees share a class and classes follow one canonical order
-    in every table.  The table is then built bottom-up between the classes of
-    the row points and those of the column points, the child assignments of
-    every class pair solved at once; each class pair is solved once however
-    many points share it.
-    """
+    """Bulk iterated-distance computation at a fixed (spec, n, m) shape,
+    every distance through one block kernel (`_solve`)."""
 
     def __init__(self, spec: GroupSpec, n: int, m: int, leaf_cap: int = DEFAULT_LEAF_CAP):
         if n < 1:
@@ -215,8 +205,6 @@ class WalkDistanceEngine:
         # (scenery, tail) -> bits read at least `height` deep; a run of engines
         # may share one dict, built deepest first, so each point is read once
         self._bit_lists: dict = {}
-        self._perms = [np.array(p) for p in itertools.permutations(range(self.r))]
-        self._lanes = np.arange(self.r)
 
     def profile(self, p: WalkPoint) -> list[np.ndarray]:
         """The point's bits as `_read_bits` gives them, at least `height`
@@ -231,78 +219,117 @@ class WalkDistanceEngine:
 
     def distance(self, px: WalkPoint, py: WalkPoint) -> float:
         """Iterated distance at depth n between two walk points."""
-        return float(self.distance_table([px], [py])[0, 0])
+        return float(self.distance_pairs([px], [py])[0])
 
     def distance_table(self, xs, ys) -> np.ndarray:
-        """Iterated distances at depth n, entry [i, j] between xs[i] and ys[j].
-
-        At each height the subtrees of all points are classed by rank, and the
-        table runs over the xs' classes (rows) and the ys' (columns).  An entry
-        is the cheapest matching of the two classes' children, each child cost
-        read from the table one height down plus 1 where the child bits
-        differ.  Ranks keep children in the same order in every table, an
-        entry depends only on its own class pair and x classes stay rows, so
-        every value is bit for bit the one a table of that pair alone gives,
-        whatever else the engine has seen.
-        """
+        """Iterated distances at depth n, entry [i, j] between xs[i] and ys[j]."""
         if not xs or not ys:
             return np.zeros((len(xs), len(ys)))
-        points = xs if ys is xs else [*xs, *ys]
-        bits = [self.profile(p) for p in points]
+        top, roots_x, roots_y = self._solve(xs, ys, np.zeros(len(xs), int), np.zeros(len(ys), int))
+        return top[0][np.ix_(roots_x, roots_y)]
+
+    def distance_pairs(self, xs, ys) -> np.ndarray:
+        """Iterated distances at depth n between xs[i] and ys[i].  Each kernel
+        call takes as many pairs as hold at most `_GATHER_BUDGET` leaves."""
+        if len(xs) != len(ys):
+            raise StructuralError("distance_pairs needs as many xs as ys")
+        batch = max(1, _GATHER_BUDGET // (2 * self.r**self.height))
+        out = np.empty(len(xs))
+        for k in range(0, len(xs), batch):
+            g = np.arange(len(xs[k : k + batch]))
+            top, roots_x, roots_y = self._solve(xs[k : k + batch], ys[k : k + batch], g, g)
+            out[k : k + batch] = top[g, roots_x, roots_y]
+        return out
+
+    def _solve(self, xs, ys, owner_x, owner_y):
+        """The block kernel (module docstring): xs[i] and ys[j] belong to
+        blocks owner_x[i] and owner_y[j], each non-decreasing from 0.  Returns
+        the top tables, (block, x class, y class) divided by the height, and
+        each point's class position in its block."""
+        square = ys is xs
+        bits = [self.profile(p) for p in (xs if square else [*xs, *ys])]
         r, nx = self.r, len(xs)
-        w = np.zeros((1, 1))
-        cls = ux = uy = np.zeros(1, dtype=np.int64)  # height 0: one class
+        x = y = (np.arange(owner_x[-1] + 1), 1)  # height 0: one class per block
+        w = np.zeros((len(x[0]), 1, 1))
         for h in range(1, self.height + 1):
-            big = int(cls.max()) + 1
-            key = np.concatenate([b[self.height - h] for b in bits], dtype=np.int64)
-            key *= big
-            key += cls
-            key = key.reshape(-1, r)
-            key.sort(axis=1)
-            # _row_keys keeps the lexicographic row order, so classes are
-            # numbered in the order of the sorted rows themselves
-            _, first, cls = np.unique(_row_keys(key), return_index=True, return_inverse=True)
-            defs = np.empty((len(first), 2 * r), dtype=np.int64)
-            defs[:, 0::2], defs[:, 1::2] = np.divmod(key[first], big)
-            below_x, below_y = ux, uy
+            level = np.concatenate([b[self.height - h] for b in bits])
+            if h == 1:  # every child class is 0: a row ranks as its count of 1 bits
+                ones = level.reshape(-1, r).sum(axis=1, dtype=np.uint8)
+                counts = np.unique(ones)
+                cls, big, rows = np.searchsorted(counts, ones), 1, np.arange(r) >= r - counts[:, None]
+            else:
+                big = int(cls.max()) + 1
+                key = np.sort((level.astype(np.int64) * big + cls).reshape(-1, r), axis=1)
+                # _row_keys keeps the lexicographic row order, so classes are
+                # numbered in the order of the sorted rows themselves
+                _, first, cls = np.unique(_row_keys(key), return_index=True, return_inverse=True)
+                rows = key[first]
+            defs = np.empty((len(rows), 2 * r), dtype=np.int64)
+            defs[:, 0::2], defs[:, 1::2] = np.divmod(rows, big)
             split = nx * r ** (self.height - h)
-            ux = np.unique(cls[:split])
-            uy = ux if ys is xs else np.unique(cls[split:])
-            w = self._solve_level(w, defs[ux], below_x, defs[uy], below_y)
-        roots_x = np.searchsorted(ux, cls[:nx])
-        roots_y = roots_x if ys is xs else np.searchsorted(uy, cls[nx:])
-        return w[np.ix_(roots_x, roots_y)] / self.height
+            x = _block_classes(cls[:split], owner_x, defs, x)
+            y = x if square else _block_classes(cls[split:], owner_y, defs, y)
+            w = _block_tables(w, x, y)
+        w /= self.height
+        roots_x = _positions(cls[:nx], owner_x, x)
+        return w, roots_x, roots_x if square else _positions(cls[nx:], owner_y, y)
 
-    def _solve_level(self, w, defs_x, below_x, defs_y, below_y):
-        """One height of the table: min over child permutations of summed child
-        costs, for every (x class, y class) pair, divided by r.
 
-        `w` is the table one height down over the classes `below_x` x
-        `below_y`; child costs are gathered from it in chunks of at most
-        `_GATHER_BUDGET` elements.
-        """
-        r = self.r
-        bits_x = defs_x[:, 0::2]
-        bits_y = defs_y[:, 0::2]
-        subs_x = np.searchsorted(below_x, defs_x[:, 1::2])
-        subs_y = np.searchsorted(below_y, defs_y[:, 1::2])
-        nx, ny = len(defs_x), len(defs_y)
-        out = np.empty((nx, ny))
-        cols = min(ny, max(1, _GATHER_BUDGET // (r * r)))
-        rows = max(1, _GATHER_BUDGET // (cols * r * r))
+def _block_classes(cls, owner, defs, below):
+    """One side of every block at one height, from its subtree classes `cls`
+    (point by point) and each point's block `owner`: the blocks' classes as
+    sorted keys block * classes + class, the class count, and (child, block,
+    class position) arrays of child positions among the block's classes in
+    `below` and of child bits.  Padding reads position 0."""
+    ncls, r = len(defs), defs.shape[1] // 2
+    keys = np.unique(cls.reshape(len(owner), -1) + (owner * ncls)[:, None])
+    block, c = np.divmod(keys, ncls)
+    pos = np.arange(len(keys)) - np.searchsorted(keys, block * ncls)
+    children = np.zeros((2, r, int(owner[-1]) + 1, int(pos.max()) + 1), dtype=np.int64)
+    children[0][:, block, pos] = _positions(defs[c, 1::2].T, block, below)
+    children[1][:, block, pos] = defs[c, 0::2].T
+    return keys, ncls, *children
+
+
+def _positions(cls, owner, side):
+    """Position of class `cls` of block `owner` among that block's on `side`."""
+    keys, ncls = side[:2]
+    return np.searchsorted(keys, owner * ncls + cls) - np.searchsorted(keys, owner * ncls)
+
+
+def _block_tables(w, x, y):
+    """One height of every block's table from the tables `w` one height down,
+    divided by r.  Child costs w[block, x child, y child] + (bits differ) are
+    gathered in chunks of at most `_GATHER_BUDGET`, over blocks, rows, columns."""
+    (subs_x, bits_x), (subs_y, bits_y) = x[2:], y[2:]
+    r, blocks, nx, ny = *subs_x.shape, subs_y.shape[2]
+    out = np.empty((blocks, nx, ny))
+    cols = min(ny, max(1, _GATHER_BUDGET // (r * r)))
+    rows = min(nx, max(1, _GATHER_BUDGET // (r * r * cols)))
+    group = max(1, _GATHER_BUDGET // (r * r * cols * rows))
+    for g in range(0, blocks, group):
+        at = np.arange(g, min(g + group, blocks))[:, None, None]
         for i in range(0, nx, rows):
-            sx = subs_x[i : i + rows, None, :, None]
-            bx = bits_x[i : i + rows, None, :, None]
+            sx, bx = (a[:, None, g : g + group, i : i + rows, None] for a in (subs_x, bits_x))
             for j in range(0, ny, cols):
-                sy = subs_y[None, j : j + cols, None, :]
-                by = bits_y[None, j : j + cols, None, :]
-                child = w[sx, sy] + (bx != by)
-                best = None
-                for perm in self._perms:
-                    cost = child[:, :, self._lanes, perm].sum(axis=2)
-                    best = cost if best is None else np.minimum(best, cost)
-                out[i : i + rows, j : j + cols] = best
-        return out / r
+                sy, by = (a[None, :, g : g + group, None, j : j + cols] for a in (subs_y, bits_y))
+                out[g : g + group, i : i + rows, j : j + cols] = _min_matching(w[at, sx, sy] + (bx != by))
+    return out / r
+
+
+def _min_matching(c):
+    """For costs c[i, j] of x child i against y child j (then any cell axes),
+    the minimum over permutations p of c[0, p[0]] + c[1, p[1]] + ... added
+    left to right, by the subset DP f[S] = min over j in S of f[S - {j}] +
+    c[|S| - 1, j].  Rounded addition is monotone, so the DP is bit for bit
+    that minimum.  numpy sums r < 8 lanes left to right too; from r = 8 it
+    sums pairwise, and this DP defines the value."""
+    r = len(c)
+    f = {0: 0.0}
+    for s in range(1, 1 << r):
+        terms = (f[s ^ 1 << j] + c[s.bit_count() - 1, j] for j in range(r) if s >> j & 1)
+        f[s] = reduce(np.minimum, terms)
+    return f[(1 << r) - 1]
 
 
 def pair_distance(
@@ -370,8 +397,8 @@ def mean_distance_profile(
         m_n = n if m is None else m
         engine = WalkDistanceEngine(spec, n, m_n, leaf_cap)
         engine._bit_lists = bit_lists
-        values = np.array(
-            [engine.distance(walk_point(spec, a, m_n), walk_point(spec, b, m_n)) for a, b in seeds]
+        values = engine.distance_pairs(
+            [walk_point(spec, a, m_n) for a, _ in seeds], [walk_point(spec, b, m_n) for _, b in seeds]
         )
         mean = float(np.mean(values))
         half = 1.96 * float(np.std(values, ddof=1)) / math.sqrt(pairs) if pairs > 1 else 0.0

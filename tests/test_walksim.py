@@ -318,6 +318,95 @@ class TestDistanceTable:
                 assert d[i, j] == want and d[j, i] == want
 
 
+def left_to_right_permutation_minimum(c):
+    """Reference matching: every one of the r! permutations p, each sum
+    c[0, p[0]] + c[1, p[1]] + ... added strictly left to right."""
+    r = len(c)
+    best = None
+    for perm in itertools.permutations(range(r)):
+        total = c[0, perm[0]].copy()
+        for i in range(1, r):
+            total = total + c[i, perm[i]]
+        best = total if best is None else np.minimum(best, total)
+    return best
+
+
+class TestMinMatching:
+    @pytest.mark.parametrize("r", range(2, 8))
+    def test_subset_dp_equals_permutation_minimum(self, r):
+        rng = np.random.default_rng(50 + r)
+        # child costs as the engine makes them, w / r plus a 0/1 bit mismatch:
+        # few distinct values, so ties are common, and none of them dyadic
+        costs = rng.integers(0, 9, size=(r, r, 4, 5)) / (3.0 * r) + rng.integers(0, 2, size=(r, r, 4, 5))
+        uniform = rng.random((r, r, 4, 5))
+        for c in (costs, uniform):
+            want = left_to_right_permutation_minimum(c)
+            got = walksim._min_matching(c)
+            assert got.shape == (4, 5) and got.tobytes() == want.tobytes()
+            # the permutation form numpy sums, as the r! loop did: lanes are
+            # added left to right below 8 terms
+            child = c.transpose(2, 3, 0, 1)
+            lanes = np.arange(r)
+            sums = [child[:, :, lanes, np.array(p)].sum(axis=2) for p in itertools.permutations(range(r))]
+            assert np.minimum.reduce(sums).tobytes() == want.tobytes()
+
+
+PAIR_SPECS = [Z1, Z2, F2, F3, HEIS]
+
+
+class TestDistancePairs:
+    @pytest.mark.parametrize("spec", PAIR_SPECS, ids=lambda s: s.describe())
+    def test_bitwise_equal_to_per_pair_distance(self, spec, monkeypatch):
+        n = 3 if spec.alphabet_size > 4 else 4
+        seeds = walksim._pair_seeds(9, 7)
+        xs = [walk_point(spec, a, n) for a, _ in seeds]
+        ys = [walk_point(spec, b, n) for _, b in seeds]
+        want = np.array([WalkDistanceEngine(spec, n, n).distance(px, py) for px, py in zip(xs, ys)])
+        engine = WalkDistanceEngine(spec, n, n)
+        oracle = np.array([per_pair_distance(engine, px, py) for px, py in zip(xs, ys)])
+        assert want.tobytes() == oracle.tobytes()
+        r2, leaves = spec.alphabet_size**2, 2 * spec.alphabet_size**n
+        # one cell per chunk; chunks of 5 cells cutting across blocks; batches
+        # of 3 pairs (7 pairs: the last batch holds one); one batch
+        for budget in (r2, 5 * r2, 3 * leaves, 10 * leaves):
+            monkeypatch.setattr(walksim, "_GATHER_BUDGET", budget)
+            got = WalkDistanceEngine(spec, n, n).distance_pairs(xs, ys)
+            assert got.dtype == np.float64 and got.tobytes() == want.tobytes()
+
+    def test_empty_and_mismatched(self):
+        engine = WalkDistanceEngine(F2, 3, 3)
+        pts = [walk_point(F2, a, 3) for a, _ in walksim._pair_seeds(1, 3)]
+        assert engine.distance_pairs([], []).shape == (0,)
+        assert engine.distance_table([], pts).shape == (0, 3)
+        assert engine.distance_table(pts, []).shape == (3, 0)
+        with pytest.raises(StructuralError):
+            engine.distance_pairs(pts, pts[:2])
+
+    @pytest.mark.parametrize("spec", PAIR_SPECS, ids=lambda s: s.describe())
+    def test_mean_profile_equals_per_pair_distance(self, spec, monkeypatch):
+        n_max, m, pairs, seed = (3, 2, 5, 4) if spec.alphabet_size > 4 else (4, 3, 5, 4)
+        seeds = walksim._pair_seeds(seed, pairs)
+        want = {}
+        for n in range(1, n_max + 1):
+            engine = WalkDistanceEngine(spec, n, m)
+            values = [engine.distance(walk_point(spec, a, m), walk_point(spec, b, m)) for a, b in seeds]
+            mean = float(np.mean(values))
+            half = 1.96 * float(np.std(values, ddof=1)) / np.sqrt(pairs)
+            want[n] = (m, mean, mean - half, mean + half)
+        reads = []
+
+        def counting_read(spec, point, depth):
+            reads.append(depth)
+            return _read_bits(spec, point, depth)
+
+        monkeypatch.setattr(walksim, "_read_bits", counting_read)
+        # batches of 2 pairs at the deepest level, chunks that split blocks
+        monkeypatch.setattr(walksim, "_GATHER_BUDGET", 4 * spec.alphabet_size**m)
+        estimates = mean_distance_profile(spec, n_max=n_max, m=m, pairs=pairs, master_seed=seed)
+        assert {e.n: (e.m, e.mean, e.ci_low, e.ci_high) for e in estimates} == want
+        assert len(reads) == 2 * pairs and set(reads) == {m}
+
+
 class TestHammingBase:
     def test_equals_full_cylinder_hamming(self):
         # uncached, so the 4096 x 4096 matrix at 12 bits is not kept
