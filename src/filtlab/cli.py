@@ -11,8 +11,9 @@ Five experiment kinds are wired to the library drivers:
 
 Every run is a pure function of (config, seed): outputs carry the config hash
 and seed in their headers, contain no timestamps, and are written atomically.
-Results are cached under the cache directory, named by the config hash, the
-filtlab version and the result schema; a cache hit replays the stored bytes.
+Results are cached under the cache directory, named by the config hash and
+a sha256 of this package's source files, so any edit to the code makes every
+older entry miss; a cache hit replays the stored bytes.
 
 Exit codes: 0 success, 2 config error, 3 runtime error.
 """
@@ -21,6 +22,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import hashlib
 import io
 import json
@@ -36,6 +38,7 @@ from .groups import GroupSpec, meeting_diagnostic, sample_increments
 from .mmspace import DiscreteMeasure, SemimetricMatrix
 from .treewalk import exponential_entropy_estimate, iid_word_measure, orbit_partition
 from .walksim import (
+    DEFAULT_LEAF_CAP,
     ball_measure_profile,
     mean_distance_profile,
     sample_distance_matrix,
@@ -43,7 +46,6 @@ from .walksim import (
 )
 
 EXPERIMENTS = ("standardness", "ball-measure", "scaling-fit", "orbit-entropy", "meeting-diagnostic")
-RESULT_SCHEMA = 1  # raise when the result bytes of a config change within one version
 
 
 class ConfigError(Exception):
@@ -128,7 +130,7 @@ def _depths(sec: dict, section: str, key: str) -> list[int]:
 
 
 def _leaf_cap(walk: dict) -> int:
-    return _positive(walk, "walk", "leaf_cap") if "leaf_cap" in walk else 1 << 14
+    return _positive(walk, "walk", "leaf_cap") if "leaf_cap" in walk else DEFAULT_LEAF_CAP
 
 
 def _positive_real(sec, section: str, key, below: float = math.inf) -> float:
@@ -150,10 +152,21 @@ def config_hash(cfg: dict, seed: int) -> str:
 
 
 def _cache_key(digest: str) -> str:
-    """Cache file stem: the config hash folded with the code version and the
-    result schema, so an entry stored by other code never replays."""
-    blob = f"{digest}:{__version__}:{RESULT_SCHEMA}".encode()
-    return hashlib.sha256(blob).hexdigest()[:16]
+    """Cache file stem: the config hash folded with the code digest, so an
+    entry stored by other code never replays."""
+    return hashlib.sha256(f"{digest}:{_code_digest()}".encode()).hexdigest()[:16]
+
+
+@functools.lru_cache(maxsize=1)
+def _code_digest() -> str:
+    """sha256 over the name and bytes of each `*.py` file of this package,
+    in sorted name order."""
+    h = hashlib.sha256()
+    for path in sorted(Path(__file__).parent.glob("*.py")):
+        data = path.read_bytes()
+        h.update(f"{path.name}:{len(data)}:".encode())
+        h.update(data)
+    return h.hexdigest()
 
 
 # ---------------------------------------------------------------------------
@@ -341,16 +354,15 @@ def run_experiment(cfg: dict, out_dir: str, seed_override=None, threads: int = 1
     csv_path = out / f"{basename}.csv"
     json_path = out / f"{basename}.json"
 
-    key = _cache_key(digest)
     if cache_dir:
-        cache = Path(cache_dir)
-        hit_csv = cache / f"{key}.csv"
-        hit_json = cache / f"{key}.json"
-        if hit_csv.exists() and hit_json.exists():
+        key = _cache_key(digest)
+        cached_csv = Path(cache_dir) / f"{key}.csv"
+        cached_json = Path(cache_dir) / f"{key}.json"
+        if cached_csv.exists() and cached_json.exists():
             if verbose:
                 print(f"cache hit {key}", file=sys.stderr)
-            _atomic_write(csv_path, hit_csv.read_bytes())
-            _atomic_write(json_path, hit_json.read_bytes())
+            _atomic_write(csv_path, cached_csv.read_bytes())
+            _atomic_write(json_path, cached_json.read_bytes())
             return [csv_path, json_path]
 
     runner = _RUNNERS[cfg["experiment"]]
@@ -361,10 +373,9 @@ def run_experiment(cfg: dict, out_dir: str, seed_override=None, threads: int = 1
     _atomic_write(csv_path, csv_bytes)
     _atomic_write(json_path, json_bytes)
     if cache_dir:
-        cache = Path(cache_dir)
-        cache.mkdir(parents=True, exist_ok=True)
-        _atomic_write(cache / f"{key}.csv", csv_bytes)
-        _atomic_write(cache / f"{key}.json", json_bytes)
+        Path(cache_dir).mkdir(parents=True, exist_ok=True)
+        _atomic_write(cached_csv, csv_bytes)
+        _atomic_write(cached_json, json_bytes)
     if verbose:
         print(f"wrote {csv_path} and {json_path}", file=sys.stderr)
     return [csv_path, json_path]
@@ -376,27 +387,15 @@ def run_experiment(cfg: dict, out_dir: str, seed_override=None, threads: int = 1
 
 
 def _read_result_csv(path: str):
-    meta = {}
-    rows = []
-    header = None
+    """(header, rows) of a result CSV, its `#` meta lines skipped."""
     try:
         with open(path, newline="") as fh:
-            for line in fh:
-                if line.startswith("#"):
-                    key, _, value = line[1:].strip().partition("=")
-                    meta[key.strip()] = value
-                    continue
-                reader = csv.reader(io.StringIO(line))
-                fields = next(reader)
-                if header is None:
-                    header = fields
-                else:
-                    rows.append(fields)
+            table = list(csv.reader(line for line in fh if not line.startswith("#")))
     except OSError as exc:
         raise ConfigError(f"cannot read {path}: {exc}") from exc
-    if header is None or not rows:
+    if len(table) < 2:
         raise ConfigError(f"{path}: empty result file")
-    return meta, header, rows
+    return table[0], table[1:]
 
 
 def compare_results(paths, out_path=None) -> dict:
@@ -404,20 +403,20 @@ def compare_results(paths, out_path=None) -> dict:
     if not paths:
         raise ConfigError("compare needs at least one result file")
     loaded = [_read_result_csv(p) for p in paths]
-    header0 = loaded[0][1]
-    for path, (_, header, _) in zip(paths, loaded):
+    header0 = loaded[0][0]
+    for path, (header, _) in zip(paths, loaded):
         if header != header0:
             raise ConfigError(f"{path}: schema {header} does not match {header0}")
 
-    report = {"files": list(map(str, paths)), "schema": header0, "rows": [len(r) for _, _, r in loaded]}
+    report = {"files": list(map(str, paths)), "schema": header0, "rows": [len(r) for _, r in loaded]}
     report["table"] = [
         dict(zip(["source"] + header0, [str(path)] + row))
-        for path, (_, _, rows) in zip(paths, loaded)
+        for path, (_, rows) in zip(paths, loaded)
         for row in rows
     ]
     if {"n", "epsilon", "H_upper"}.issubset(header0):
         fits = []
-        for path, (_, header, rows) in zip(paths, loaded):
+        for path, (header, rows) in zip(paths, loaded):
             idx_n = header.index("n")
             idx_eps = header.index("epsilon")
             idx_h = header.index("H_upper")

@@ -64,13 +64,6 @@ class EntropyBounds:
         return self.lower - slack <= value <= self.upper + slack
 
 
-def _push_cost(d: np.ndarray, w: np.ndarray, assignment: np.ndarray) -> float:
-    terms = w * d[np.arange(len(w)), assignment]
-    terms = terms[terms > 0]
-    # sorted accumulation keeps the value bit-identical under relabelings
-    return float(np.sum(np.sort(terms))) if terms.size else 0.0
-
-
 def _cell_masses(cells: np.ndarray, w: np.ndarray, n_cells: int) -> np.ndarray:
     # accumulate each cell in (cell, weight) order so the per-cell sums do not
     # depend on how the atoms happen to be indexed
@@ -80,15 +73,6 @@ def _cell_masses(cells: np.ndarray, w: np.ndarray, n_cells: int) -> np.ndarray:
     return out
 
 
-def _pushforward(w: np.ndarray, assignment: np.ndarray) -> np.ndarray:
-    return _cell_masses(assignment, w, len(w))
-
-
-def _verified_cost(lam: np.ndarray, mu: DiscreteMeasure, d: SemimetricMatrix) -> float:
-    value, _ = kantorovich(DiscreteMeasure(lam), mu, d)
-    return value
-
-
 def epsilon_entropy_bounds(
     d: SemimetricMatrix,
     mu: DiscreteMeasure,
@@ -96,10 +80,13 @@ def epsilon_entropy_bounds(
 ) -> EntropyBounds:
     """Certified (lower, upper) bracket in bits for the epsilon-entropy.
 
-    The lower bound maximizes the continuity floor over a fixed family of
-    cell partitions (zero-distance classes plus every farthest-point Voronoi
-    prefix); because the family does not depend on epsilon and each floor is
-    nonincreasing in epsilon, the reported bounds are monotone on epsilon
+    Both bounds read one family of cell partitions, built once per call: the
+    farthest-point Voronoi ladder, whose k-th rung sends each atom to its
+    nearest of the first k centers.  The upper bound tries every rung but the
+    last as a quantization, next to greedy mass merging; the lower bound
+    maximizes the continuity floor over the zero-distance classes and
+    rungs 2..48.  That family does not depend on epsilon and each floor is
+    nonincreasing in epsilon, so the reported bounds are monotone on epsilon
     grids.  Upper-bound candidates near the feasibility boundary are
     certified by an exact transport solve.
     """
@@ -107,19 +94,41 @@ def epsilon_entropy_bounds(
         raise DomainError("epsilon must be positive")
     if d.size != mu.size:
         raise StructuralError("semimetric and measure sizes differ")
-    budget = epsilon - STRICT_MARGIN
-    w = mu.w
-    dd = d.d
-
-    upper = _upper_bound(dd, w, mu, d, budget)
-    lower = _lower_bound(dd, w, epsilon)
+    ladder = _voronoi_ladder(d.d, mu.w)
+    upper = _upper_bound(d, mu, epsilon - STRICT_MARGIN, ladder[:-1])
+    lower = _lower_bound(d.d, mu.w, epsilon, ladder[1:48])
     clamped = lower > upper
     if clamped:
         lower = upper
     return EntropyBounds(lower=lower, upper=upper, epsilon=epsilon, clamped=clamped)
 
 
-def _upper_bound(dd, w, mu, d, budget) -> float:
+def _voronoi_ladder(dd, w) -> list[np.ndarray]:
+    """Each atom's nearest center among the first k farthest-point centers,
+    for k = 1 up to the number of live (positive-weight) atoms.
+
+    The centers are the heaviest live atom, then each time the live atom
+    farthest from the centers so far, ties going to the heavier atom and
+    then the lower index.  A new center takes only the atoms it is strictly
+    closer to, so a tie keeps the earlier center.
+    """
+    live = np.flatnonzero(w > 0)
+    first = live[int(np.argmax(w[live]))]
+    nearest = np.full(len(w), first)
+    dist_to_set = dd[first]
+    remaining = set(live.tolist()) - {int(first)}
+    ladder = [nearest]
+    while remaining:
+        idx = max(remaining, key=lambda i: (dist_to_set[i], w[i], -i))
+        remaining.discard(idx)
+        nearest = np.where(dd[idx] < dist_to_set, idx, nearest)
+        dist_to_set = np.minimum(dist_to_set, dd[idx])
+        ladder.append(nearest)
+    return ladder
+
+
+def _upper_bound(d, mu, budget, partitions) -> float:
+    dd, w = d.d, mu.w
     n = len(w)
     live = np.flatnonzero(w > 0)
     best = _entropy_bits(w)  # identity quantization is always feasible
@@ -153,43 +162,27 @@ def _upper_bound(dd, w, mu, d, budget) -> float:
         else:
             # the push-cost bookkeeping overshoots the true transport cost, so
             # exact verification may still rescue a few more merges
-            borderline.append(_pushforward(w, assignment))
+            borderline.append(_cell_masses(assignment, w, n))
 
-    # Voronoi aggregation onto farthest-point nets of every size
-    order = _farthest_point_order(dd, w)
-    for k in range(1, len(order)):
-        centers = order[:k]
-        assign = centers[np.argmin(dd[np.ix_(live, centers)], axis=1)]
-        full_assign = np.arange(n)
-        full_assign[live] = assign
-        cost = _push_cost(dd, w, full_assign)
+    # Voronoi aggregation onto the farthest-point nets; a zero-weight atom
+    # adds no cost and no mass to the cell it lands in
+    for cells in partitions:
+        terms = w * dd[np.arange(n), cells]
+        # sorted accumulation keeps the value bit-identical under relabelings
+        cost = float(np.sum(np.sort(terms[terms > 0])))
         if cost <= budget:
-            best = min(best, _entropy_bits(_pushforward(w, full_assign)))
+            best = min(best, _entropy_bits(_cell_masses(cells, w, n)))
         elif cost <= budget * 3 and len(borderline) < 12:
-            borderline.append(_pushforward(w, full_assign))
+            borderline.append(_cell_masses(cells, w, n))
 
     for lam in borderline:
         h = _entropy_bits(lam)
-        if h < best and _verified_cost(lam, mu, d) <= budget:
+        if h < best and kantorovich(DiscreteMeasure(lam), mu, d)[0] <= budget:
             best = h
     return best
 
 
-def _farthest_point_order(dd, w) -> np.ndarray:
-    live = np.flatnonzero(w > 0)
-    first = live[int(np.argmax(w[live]))]
-    order = [first]
-    dist_to_set = dd[first].copy()
-    remaining = set(int(i) for i in live) - {int(first)}
-    while remaining:
-        idx = max(remaining, key=lambda i: (dist_to_set[i], w[i], -i))
-        order.append(idx)
-        remaining.discard(idx)
-        dist_to_set = np.minimum(dist_to_set, dd[idx])
-    return np.asarray(order, dtype=int)
-
-
-def _lower_bound(dd, w, epsilon) -> float:
+def _lower_bound(dd, w, epsilon, partitions) -> float:
     """Best certified floor over a fixed family of cell partitions.
 
     For cells with pairwise inter-cell distance gap > 0, a transport of cost
@@ -197,30 +190,20 @@ def _lower_bound(dd, w, epsilon) -> float:
     of any feasible quantization are within that total variation of mu's; the
     entropy-continuity inequality |H(p) - H(q)| <= tau log2(K-1) + H2(tau)
     (valid for tau <= 1 - 1/K) then floors H(q).  The family is the
-    zero-distance-class partition plus every farthest-point Voronoi prefix,
-    all independent of epsilon, and each floor is nonincreasing in epsilon
-    (H2 is capped at its maximum), so the best floor is too.
+    zero-distance-class partition plus the given Voronoi partitions, all
+    independent of epsilon, and each floor is nonincreasing in epsilon (H2 is
+    capped at its maximum), so the best floor is too.  A partition whose live
+    atoms share one cell gives no floor, so one live atom gives 0.
     """
     live = np.flatnonzero(w > 0)
-    if live.size <= 1:
-        return 0.0
-
-    candidates = [_zero_distance_classes(dd)]
-    order = _farthest_point_order(dd, w)
-    for k in range(2, min(len(order), 48) + 1):
-        centers = order[:k]
-        candidates.append(centers[np.argmin(dd[:, centers], axis=1)])
-
     best = 0.0
-    for cells in candidates:
+    for cells in [_zero_distance_classes(dd), *partitions]:
         if len(np.unique(cells[live])) <= 1:
             continue
         # the gap ranges over ALL atoms: a quantization may sit mass on
-        # zero-measure atoms, and crossing mass still has to travel it
-        crossing = cells[:, None] != cells[None, :]
-        if not crossing.any():
-            continue
-        gap = float(dd[crossing].min())
+        # zero-measure atoms, and crossing mass still has to travel it; two
+        # live cells make the set of crossing pairs nonempty
+        gap = float(dd[cells[:, None] != cells[None, :]].min())
         if gap <= 0:
             continue
         # entropy continuity runs over the full cell alphabet, since a

@@ -434,7 +434,7 @@ class Scenery:
     The bit at an element is a keyed blake2b hash of its normal form: the
     infinite configuration exists exactly as far as it is ever read, and two
     processes with the same seed read identical bits.  Nothing is cached:
-    `value` hashes one element, `bits` many `norm_key`s from one keyed state.
+    `bits` hashes many `norm_key`s from one keyed state, `value` one element.
     """
 
     def __init__(self, seed: int):
@@ -442,8 +442,7 @@ class Scenery:
         self._key = (self.seed & 0xFFFFFFFFFFFFFFFF).to_bytes(8, "little")
 
     def value(self, element: GroupElement) -> int:
-        digest = hashlib.blake2b(element.norm_key(), key=self._key, digest_size=1)
-        return digest.digest()[0] & 1
+        return self.bits([element.norm_key()])[0]
 
     def bits(self, keys) -> list[int]:
         """`value` at each of these `norm_key`s, hashed from copies of one keyed state."""

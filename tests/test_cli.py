@@ -342,8 +342,9 @@ class TestRun:
     def test_cache_entry_of_other_version_misses(self, tmp_path, monkeypatch):
         cfg = small_standardness_config()
         cache = tmp_path / "cache"
+        # the entry stored by other code (another code digest) must not replay
         with monkeypatch.context() as patch:
-            patch.setattr(cli, "__version__", "0.0.0")
+            patch.setattr(cli, "_code_digest", lambda: "0" * 64)
             run_experiment(cfg, out_dir=str(tmp_path / "old"), cache_dir=str(cache))
         for stored in cache.iterdir():
             stored.write_bytes(b"# poisoned=1\n" + stored.read_bytes())
@@ -352,6 +353,14 @@ class TestRun:
         for name in ("probe.csv", "probe.json"):
             assert (tmp_path / "new" / name).read_bytes() == (tmp_path / "fresh" / name).read_bytes()
         assert len(list(cache.glob("*.csv"))) == 2
+
+    def test_run_without_cache_reads_no_code(self, tmp_path, monkeypatch):
+        def unread():
+            raise AssertionError("code digest computed without a cache")
+
+        monkeypatch.setattr(cli, "_code_digest", unread)
+        run_experiment(small_standardness_config(), out_dir=str(tmp_path))
+        assert (tmp_path / "probe.csv").exists()
 
     def test_workers_do_not_change_bytes(self, tmp_path):
         path = write_config(tmp_path, small_standardness_config())

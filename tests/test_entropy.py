@@ -175,6 +175,32 @@ class TestEntropyBounds:
         with pytest.raises(DomainError):
             epsilon_entropy_bounds(simplex_metric(2), DiscreteMeasure.uniform(2), 0.0)
 
+    def test_bracket_values_pinned(self):
+        # every bracket byte, over spaces with zero-weight and coincident
+        # atoms, which the walk brackets (uniform measures) never have
+        rng = np.random.default_rng(13)
+        brackets = []
+        for i in range(40):
+            n = (3, 6, 12, 60)[i % 4]
+            # odd rounds put the atoms on a coarse grid with weights in
+            # {1, 2, 3}, so distances and weights tie
+            coarse = i % 2 == 1
+            pts = rng.integers(0, 4, (n, 3)) / 4 if coarse else rng.random((n, 3))
+            coincident = rng.random(n) < 0.25
+            coincident[0] = False
+            pts[coincident] = pts[0]
+            d = np.linalg.norm(pts[:, None] - pts[None, :], axis=-1)
+            w = rng.integers(1, 4, n).astype(float) if coarse else rng.random(n) + 0.05
+            w[rng.random(n) < 0.3] = 0.0
+            if not w.any():
+                w[0] = 1.0
+            mu = DiscreteMeasure(w / w.sum())
+            for eps in (0.02, 0.05, 0.1, 0.3):
+                b = epsilon_entropy_bounds(SemimetricMatrix(d), mu, eps)
+                brackets.append((b.lower, b.upper, b.clamped))
+        digest = hashlib.sha256(repr(brackets).encode()).hexdigest()
+        assert digest == "e261ca7914839c0aaa1b77d5f4ac8c6819a9cd1e6325830e6b38aa2a69201f80"
+
 
 class TestOracle:
     def test_criterion7_prefix_pinned(self):
