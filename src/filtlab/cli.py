@@ -391,7 +391,7 @@ def _read_result_csv(path: str):
     try:
         with open(path, newline="") as fh:
             table = list(csv.reader(line for line in fh if not line.startswith("#")))
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError, csv.Error) as exc:
         raise ConfigError(f"cannot read {path}: {exc}") from exc
     if len(table) < 2:
         raise ConfigError(f"{path}: empty result file")

@@ -22,7 +22,6 @@ exponential versus subexponential growth.
 
 from __future__ import annotations
 
-import heapq
 import itertools
 import math
 from dataclasses import dataclass, field
@@ -422,83 +421,31 @@ def _lipschitz_vertices(dd: np.ndarray) -> np.ndarray:
     """Vertices of {u : u_0 = 0, |u_i - u_j| <= d_ij}.
 
     Every vertex comes from a spanning tree of tight constraints with signed
-    edge lengths; trees of K_n are enumerated via Pruefer sequences (n <= 5,
-    so at most 125 trees and 16 orientations each).  All candidates are
-    filled at once, one root-first step of every tree at a time, so each
-    value is summed along its path from the root; the feasible ones are
-    rounded to 12 decimals, and each distinct vertex is kept as it first
-    appears in (tree, signs) order, sorted.
+    edge lengths.  Starting from u_0 = 0, each step places one more atom j at
+    u_i + d_ij or u_i - d_ij from a placed atom i, for every such (j, i) of
+    every row, so each value is summed along its path from atom 0 (n <= 5,
+    so at most 9,216 candidates at the last step).  A row leaves as soon as a
+    constraint between placed atoms has slack > 1e-9; the rest are rounded to
+    12 decimals, and each distinct vertex is kept as it first appears, sorted.
     """
     n = dd.shape[0]
-    if n == 1:
-        return np.zeros((1, 1))
-    parent, child, edge, orient = _tree_steps(n)
-    signs = np.asarray(list(itertools.product((1.0, -1.0), repeat=n - 1)))
-    trees = np.arange(len(parent))
-    u = np.zeros((len(trees), len(signs), n))
-    for k in range(n - 1):
-        p, c = parent[:, k], child[:, k]
-        length = (orient[:, k] * dd[p, c])[:, None]
-        u[trees, :, c] = u[trees, :, p] + signs[:, edge[:, k]].T * length
-    u = u.reshape(-1, n)
-    slack = u[:, :, None] - u[:, None, :] - dd
-    u = np.round(u[slack.max(axis=(1, 2)) <= 1e-9], 12)
+    u = np.zeros((1, n))
+    placed = np.arange(n)[None, :] == 0
+    for _ in range(n - 1):
+        row, j, i = (np.repeat(a, 2) for a in np.nonzero(~placed[:, :, None] & placed[:, None, :]))
+        u, placed, k = u[row], placed[row], np.arange(len(row))
+        u[k, j] = u[k, i] + np.tile([1.0, -1.0], len(k) // 2) * dd[i, j]
+        placed[k, j] = True
+        # a violated constraint between placed atoms stays violated
+        pairs = placed[:, :, None] & placed[:, None, :]
+        slack = np.where(pairs, u[:, :, None] - u[:, None, :] - dd, -np.inf)
+        feasible = slack.max(axis=(1, 2)) <= 1e-9
+        u, placed = u[feasible], placed[feasible]
+    u = np.round(u, 12)
     # rows compare by value (-0.0 == 0.0, as in a set of tuples); the first
     # candidate of each vertex is the one kept
     _, first = np.unique(u, axis=0, return_index=True)
     return u[first]
-
-
-@lru_cache(maxsize=None)
-def _tree_steps(n: int):
-    """Root-first steps of every spanning tree of K_n, in `_spanning_trees`
-    order: step k of tree t sets node child[t, k] from its parent parent[t, k]
-    across edge[t, k] (an index into the tree's edge list), whose sign
-    counts as orient[t, k] = +1 from its smaller end, -1 from its larger."""
-    trees = list(_spanning_trees(n))
-    parent = np.zeros((len(trees), n - 1), dtype=np.intp)
-    child = np.zeros_like(parent)
-    edge = np.zeros_like(parent)
-    orient = np.zeros((len(trees), n - 1))
-    for t, edges in enumerate(trees):
-        adj = {}
-        for e, (a, b) in enumerate(edges):
-            adj.setdefault(a, []).append((b, e, 1.0))
-            adj.setdefault(b, []).append((a, e, -1.0))
-        order = [0]
-        for cur in order:
-            for nxt, e, o in adj[cur]:
-                if nxt not in order:
-                    k = len(order) - 1
-                    parent[t, k], child[t, k], edge[t, k], orient[t, k] = cur, nxt, e, o
-                    order.append(nxt)
-    for a in (parent, child, edge, orient):
-        a.flags.writeable = False
-    return parent, child, edge, orient
-
-
-def _spanning_trees(n: int):
-    """All labeled spanning trees of K_n by Pruefer decoding (n^(n-2) trees)."""
-    if n == 2:
-        yield ((0, 1),)
-        return
-    for seq in itertools.product(range(n), repeat=n - 2):
-        degree = [1] * n
-        for v in seq:
-            degree[v] += 1
-        heap = [i for i in range(n) if degree[i] == 1]
-        heapq.heapify(heap)
-        edges = []
-        for v in seq:
-            leaf = heapq.heappop(heap)
-            edges.append((min(leaf, v), max(leaf, v)))
-            degree[v] -= 1
-            if degree[v] == 1:
-                heapq.heappush(heap, v)
-        a = heapq.heappop(heap)
-        b = heapq.heappop(heap)
-        edges.append((min(a, b), max(a, b)))
-        yield tuple(edges)
 
 
 # ---------------------------------------------------------------------------

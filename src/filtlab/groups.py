@@ -479,7 +479,8 @@ class DictScenery:
 
 @dataclass(frozen=True)
 class MeetingResult:
-    """Outcome of the two-trajectory small-norm search on [h, h^5]."""
+    """Outcome of the two-trajectory small-norm search on [h, h^5];
+    `uncertain_skips` counts the straddled steps before `n`."""
 
     n: int | None
     norm_bound_u: float = float("nan")
@@ -517,8 +518,9 @@ def meeting_diagnostic(
 
     Whenever the exact Heisenberg norm is out of BFS range, the certified
     upper bound is used, so a returned n is always a true qualifier; steps
-    whose bracket straddles the threshold are skipped and counted in
-    `uncertain_skips`.  Absence is a value, not an error.
+    before the returned n (every step, when none qualifies) whose bracket
+    straddles the threshold are skipped and counted in `uncertain_skips`.
+    Absence is a value, not an error.
 
     The brackets of all prefixes up to the search's end are computed at once
     as int64 arrays, exact for walks shorter than 2^31 steps; the returned
@@ -532,8 +534,9 @@ def meeting_diagnostic(
     lo_v, hi_v = (bound[h - 1 :] for bound in _prefix_norm_bounds(spec, v[:top]))
     threshold = c * np.sqrt(np.arange(h, h + len(hi_u), dtype=np.float64))
     met = np.flatnonzero((hi_u < threshold) & (hi_v < threshold))
+    straddles = ((lo_u < threshold) & (threshold <= hi_u)) | ((lo_v < threshold) & (threshold <= hi_v))
     if met.size:
         i = int(met[0])
-        return MeetingResult(n=h + i, norm_bound_u=int(hi_u[i]), norm_bound_v=int(hi_v[i]))
-    straddles = ((lo_u < threshold) & (threshold <= hi_u)) | ((lo_v < threshold) & (threshold <= hi_v))
+        skips = int(np.count_nonzero(straddles[:i]))
+        return MeetingResult(h + i, int(hi_u[i]), int(hi_v[i]), uncertain_skips=skips)
     return MeetingResult(n=None, uncertain_skips=int(np.count_nonzero(straddles)))

@@ -439,6 +439,11 @@ class TestCompare:
         empty.write_text("")
         assert main(["compare", str(empty)]) == 2
 
+    def test_undecodable_file_exit_2(self, tmp_path):
+        binary = tmp_path / "binary.csv"
+        binary.write_bytes(bytes(range(128, 256)) * 2)
+        assert main(["compare", str(binary)]) == 2
+
     def test_schema_mismatch_exit_2(self, tmp_path):
         a = self._scaling_run(tmp_path, 1, 14, "sch")
         other = tmp_path / "other.csv"

@@ -15,7 +15,6 @@ from filtlab.entropy import (
     scaled_entropy_eval,
     scaling_exponent_fit,
     _lipschitz_vertices,
-    _spanning_trees,
 )
 from filtlab.mmspace import DiscreteMeasure, SemimetricMatrix
 from filtlab.transport import kantorovich
@@ -37,13 +36,24 @@ def random_measure(rng, n):
     return DiscreteMeasure(w / w.sum())
 
 
+def spanning_trees(n):
+    """Every (n - 1)-subset of the pairs of K_n that connects all atoms."""
+    pairs = list(itertools.combinations(range(n), 2))
+    for edges in itertools.combinations(pairs, n - 1):
+        reached = {0}
+        for _ in range(n):
+            reached |= {b for a, b in edges if a in reached} | {a for a, b in edges if b in reached}
+        if len(reached) == n:
+            yield edges
+
+
 def lipschitz_vertices_reference(dd):
     """One (tree, signs) candidate at a time, propagated by a stack walk."""
     n = dd.shape[0]
     if n == 1:
         return np.zeros((1, 1))
     vertices = set()
-    for tree in _spanning_trees(n):
+    for tree in spanning_trees(n):
         edges = list(tree)
         for signs in itertools.product((1.0, -1.0), repeat=len(edges)):
             u = np.full(n, np.nan)
@@ -93,9 +103,9 @@ class TestLipschitzVertices:
                 assert got.shape == want.shape and got.tobytes() == want.tobytes()
 
     def test_spanning_tree_count(self):
-        assert len(list(_spanning_trees(3))) == 3
-        assert len(list(_spanning_trees(4))) == 16
-        assert len(list(_spanning_trees(5))) == 125
+        assert len(list(spanning_trees(3))) == 3
+        assert len(list(spanning_trees(4))) == 16
+        assert len(list(spanning_trees(5))) == 125
 
     def test_dual_value_matches_primal(self):
         rng = np.random.default_rng(0)

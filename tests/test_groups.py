@@ -441,7 +441,7 @@ def rescanned_meeting(spec, u, v, h, c, cap=None):
         (lo_u, hi_u), (lo_v, hi_v) = brackets_u[n - 1], brackets_v[n - 1]
         threshold = c * np.sqrt(n)
         if hi_u < threshold and hi_v < threshold:
-            return n, hi_u, hi_v, 0
+            return n, hi_u, hi_v, uncertain
         uncertain += (lo_u < threshold <= hi_u) or (lo_v < threshold <= hi_v)
     return None, None, None, uncertain
 
@@ -477,3 +477,12 @@ class TestMeetingRescan:
             n, _, _, uncertain = rescanned_meeting(spec, u, v, 4, 1.0)
             assert result.n is n is None
             assert result.uncertain_skips == uncertain > 0
+
+    def test_skips_before_a_found_meeting_are_counted(self):
+        spec = GroupSpec.heisenberg()
+        u = sample_increments(spec, 1024, seed=43, stream=20)
+        v = sample_increments(spec, 1024, seed=43, stream=21)
+        result = meeting_diagnostic(spec, u, v, h=4, c=1.0, cap=1024)
+        assert (result.n, result.uncertain_skips) == (958, 367)
+        n, _, _, uncertain = rescanned_meeting(spec, u, v, 4, 1.0, cap=1024)
+        assert (n, uncertain) == (958, 367)

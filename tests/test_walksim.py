@@ -563,6 +563,35 @@ class TestAgreementWithFiltrationModule:
             py = WalkPoint(sg, identity(spec), n)
             assert pair_distance(px, py, spec, n) == pytest.approx(rho2[f, g], abs=1e-12)
 
+    @pytest.mark.parametrize(
+        "spec, n", [(Z1, 3), (Z2, 2), (F2, 2), (HEIS, 2)], ids=["Z1-3", "Z2-2", "F2-2", "heis-2"]
+    )
+    @pytest.mark.parametrize("m_is_n", [False, True], ids=["m=1", "m=n"])
+    def test_engine_matches_explicit_model(self, spec, n, m_is_n):
+        # the paper's definition on a finite model: points are (scenery,
+        # increment word), labeled by the bits read after each of the first
+        # min(m, n) steps; xi_k forgets the last k increments, so level n is
+        # the iterated distance between sceneries
+        m, r, seeds = (n if m_is_n else 1), spec.alphabet_size, [3, 17, 29, 101]
+        height = min(m, n)
+        labels = []
+        for seed in seeds:
+            scenery = Scenery(seed)
+            for word in itertools.product(range(r), repeat=n):
+                pos, label = identity(spec), 0
+                for sym in word[:height]:
+                    pos = multiply(pos, symbol_element(spec, sym))
+                    label = 2 * label + scenery.value(pos)
+                labels.append(label)
+        labels = np.asarray(labels)
+        size = len(labels)
+        rho0 = SemimetricMatrix(hamming_base(height).d[np.ix_(labels, labels)])
+        chain = PartitionChain(size, [Partition(np.arange(size) // r**k) for k in range(1, n + 1)])
+        model = iterate_semimetric(rho0, DiscreteMeasure.uniform(size), chain)[n - 1].matrix.d
+        points = [walk_point(spec, seed, m) for seed in seeds]
+        table = WalkDistanceEngine(spec, n, m).distance_table(points, points)
+        np.testing.assert_allclose(table, model, rtol=0, atol=1e-12)
+
 
 class TestInvariances:
     @pytest.mark.parametrize("spec", [Z1, Z2, HEIS], ids=lambda s: s.describe())
