@@ -89,7 +89,7 @@ def epsilon_entropy_bounds(
     grids.  Upper-bound candidates near the feasibility boundary are
     certified by an exact transport solve.
     """
-    if epsilon <= 0:
+    if not epsilon > 0:
         raise DomainError("epsilon must be positive")
     if d.size != mu.size:
         raise StructuralError("semimetric and measure sizes differ")
@@ -262,7 +262,7 @@ def epsilon_entropy_oracle(
     (keyed by the bytes of `d.d` and `mu.w`), so a sweep over epsilon on one
     space pays for them once.  Cached arrays are read-only.
     """
-    if epsilon <= 0:
+    if not epsilon > 0:
         raise DomainError("epsilon must be positive")
     if d.size != mu.size:
         raise StructuralError("semimetric and measure sizes differ")

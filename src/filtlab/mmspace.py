@@ -43,6 +43,8 @@ class SemimetricMatrix:
             raise StructuralError(f"semimetric must be a square matrix, got shape {d.shape}")
         if d.shape[0] == 0:
             raise StructuralError("semimetric needs at least one point")
+        if not np.all(np.isfinite(d)):
+            raise StructuralError("semimetric has non-finite entries")
         if np.any(d < 0):
             raise StructuralError("semimetric has negative entries")
         if np.any(np.abs(np.diagonal(d)) > 0):
@@ -85,6 +87,8 @@ class DiscreteMeasure:
         w = np.asarray(self.w, dtype=float)
         if w.ndim != 1 or w.size == 0:
             raise StructuralError(f"measure must be a nonempty vector, got shape {w.shape}")
+        if not np.all(np.isfinite(w)):
+            raise StructuralError("measure has non-finite weights")
         if np.any(w < 0):
             raise StructuralError("measure has negative weights")
         total = float(np.sum(w))

@@ -185,6 +185,10 @@ class TestEntropyBounds:
         with pytest.raises(DomainError):
             epsilon_entropy_bounds(simplex_metric(2), DiscreteMeasure.uniform(2), 0.0)
 
+    def test_rejects_nan_epsilon(self):
+        with pytest.raises(DomainError):
+            epsilon_entropy_bounds(simplex_metric(2), DiscreteMeasure.uniform(2), math.nan)
+
     def test_bracket_values_pinned(self):
         # every bracket byte, over spaces with zero-weight and coincident
         # atoms, which the walk brackets (uniform measures) never have
@@ -289,6 +293,10 @@ class TestOracle:
     def test_refuses_large(self):
         with pytest.raises(SizeCapError):
             epsilon_entropy_oracle(simplex_metric(6), DiscreteMeasure.uniform(6), 0.1)
+
+    def test_rejects_nan_epsilon(self):
+        with pytest.raises(DomainError):
+            epsilon_entropy_oracle(simplex_metric(2), DiscreteMeasure.uniform(2), math.nan)
 
     def test_point_mass(self):
         result = epsilon_entropy_oracle(simplex_metric(3), DiscreteMeasure.point_mass(3, 0), 0.1)

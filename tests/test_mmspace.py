@@ -61,6 +61,15 @@ class TestTypes:
     def test_measure_tolerates_1e13(self):
         DiscreteMeasure([0.5, 0.5 + 1e-13])
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_semimetric_rejects_non_finite(self, bad):
+        with pytest.raises(StructuralError, match="non-finite"):
+            SemimetricMatrix([[0.0, bad], [bad, 0.0]])
+
+    def test_measure_rejects_nan(self):
+        with pytest.raises(StructuralError, match="non-finite"):
+            DiscreteMeasure([np.nan, 1.0])
+
     def test_partition_roundtrip(self):
         p = Partition.from_blocks(4, [[0, 1], [2, 3]])
         assert p.n_blocks == 2

@@ -156,6 +156,42 @@ class TestBruteforceOracle:
             assert value == pytest.approx(oracle, abs=1e-9)
 
 
+SCALES = [1e-9, 1e-6, 1e-3, 1e3, 1e6, 1e9, 2.0**-30, 2.0**30]
+
+
+class TestScaleFree:
+    """Both solvers' tolerances are relative to the largest support cost."""
+
+    def test_scale_sweep_matches_unit_scale(self):
+        rng = np.random.default_rng(7)
+        for _ in range(20):
+            n = 12
+            d = random_metric(rng, n)
+            mu, nu = random_measure(rng, n), random_measure(rng, n)
+            mu5, nu5 = (random_measure(rng, n, rng.choice(n, size=5, replace=False)) for _ in range(2))
+            highs, flow = kantorovich(mu, nu, d)[0], kantorovich_bruteforce(mu5, nu5, d)
+            for t in SCALES:
+                dt = d.scaled(t)
+                assert kantorovich(mu, nu, dt)[0] == pytest.approx(t * highs, rel=1e-12, abs=0)
+                assert kantorovich_bruteforce(mu5, nu5, dt) == pytest.approx(t * flow, rel=1e-12, abs=0)
+
+    def test_line_closed_form(self):
+        # on the real line W1 = sum_k |F_k - G_k| (x_{k+1} - x_k) over sorted points
+        rng = np.random.default_rng(8)
+        for _ in range(40):
+            n = 8
+            x = np.sort(rng.random(n))
+            mu = random_measure(rng, n, rng.choice(n, size=int(rng.integers(1, 6)), replace=False))
+            nu = random_measure(rng, n, rng.choice(n, size=int(rng.integers(1, 6)), replace=False))
+            for t in [1e-9, 1e-3, 1.0, 1e3, 1e9]:
+                xt = x * t
+                d = SemimetricMatrix(np.abs(xt[:, None] - xt[None, :]))
+                gap = np.abs(np.cumsum(mu.w) - np.cumsum(nu.w))[:-1]
+                exact = float(np.sum(gap * np.diff(xt)))
+                assert kantorovich(mu, nu, d)[0] == pytest.approx(exact, rel=1e-12, abs=0)
+                assert kantorovich_bruteforce(mu, nu, d) == pytest.approx(exact, rel=1e-12, abs=0)
+
+
 class TestCoupling:
     def test_rejects_negative(self):
         with pytest.raises(StructuralError):
