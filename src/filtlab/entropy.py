@@ -5,9 +5,10 @@ discrete measures lying within Kantorovich distance epsilon of mu.  On a
 finite space the infimum runs over weight vectors on the atoms; it is not
 computed exactly here but bracketed:
 
-* upper bound: best verified candidate quantization, found by greedy mass
-  merging and by Voronoi aggregation onto farthest-point nets, always at most
-  H(mu) <= log2(#atoms);
+* upper bound: the least entropy among certified candidate quantizations:
+  Voronoi rungs of farthest-point nets, certified by their own cost; greedy
+  mass merges, by the cost of their map, else by the support floor, else by
+  an exact transport solve; and the identity, H(mu) <= log2(#atoms);
 * lower bound: for a family of cell partitions, any feasible quantization has
   cell marginals within total variation eps / (inter-cell gap) of mu's, and
   entropy continuity turns that into a certified floor.
@@ -67,9 +68,7 @@ def _cell_masses(cells: np.ndarray, w: np.ndarray, n_cells: int) -> np.ndarray:
     # accumulate each cell in (cell, weight) order so the per-cell sums do not
     # depend on how the atoms happen to be indexed
     order = np.lexsort((w, cells))
-    out = np.zeros(n_cells)
-    np.add.at(out, cells[order], w[order])
-    return out
+    return np.bincount(cells[order], weights=w[order], minlength=n_cells)
 
 
 def epsilon_entropy_bounds(
@@ -86,8 +85,11 @@ def epsilon_entropy_bounds(
     maximizes the continuity floor over the zero-distance classes and
     rungs 2..48.  That family does not depend on epsilon and each floor is
     nonincreasing in epsilon, so the reported bounds are monotone on epsilon
-    grids.  Upper-bound candidates near the feasibility boundary are
-    certified by an exact transport solve.
+    grids.  A rung is certified by its own cost, which is also a floor on
+    its transport cost.  A greedy merge passes when the cost of its map is
+    within budget and fails when its floor (each atom moved to its nearest
+    atom of the support) is not; only in between does an exact transport
+    solve decide.  The identity quantization always passes.
     """
     if not epsilon > 0:
         raise DomainError("epsilon must be positive")
@@ -129,16 +131,14 @@ def _voronoi_ladder(dd, w) -> list[np.ndarray]:
 def _upper_bound(d, mu, budget, partitions) -> float:
     dd, w = d.d, mu.w
     n = len(w)
-    live = np.flatnonzero(w > 0)
     best = _entropy_bits(w)  # identity quantization is always feasible
 
     # single atoms: transporting everything to z costs exactly sum_i w_i d(z, i)
-    single_costs = np.sum(np.sort(dd[:, live] * w[live][None, :], axis=1), axis=1)
+    single_costs = np.sum(np.sort(dd[:, w > 0] * w[w > 0], axis=1), axis=1)
     if np.min(single_costs) <= budget:
         return 0.0
 
-    # greedy merging: repeatedly absorb the cheapest support atom into a
-    # neighbor, tracking the (upper-bounding) cumulative push cost
+    # greedy merging: absorb the cheapest support atom into a neighbor, summing push costs
     assignment = np.arange(n)
     weights = w.copy()
     spent = 0.0
@@ -159,26 +159,28 @@ def _upper_bound(d, mu, budget, partitions) -> float:
         if spent <= budget:
             best = min(best, _entropy_bits(weights))
         else:
-            # the push-cost bookkeeping overshoots the true transport cost, so
-            # exact verification may still rescue a few more merges
-            borderline.append(_cell_masses(assignment, w, n))
+            borderline.append(assignment.copy())
 
-    # Voronoi aggregation onto the farthest-point nets; a zero-weight atom
-    # adds no cost and no mass to the cell it lands in
+    # Voronoi rungs; a zero-weight atom adds no cost and no mass to its cell,
+    # and each atom goes to its nearest center, so the cost is also the floor
     for cells in partitions:
-        terms = w * dd[np.arange(n), cells]
-        # sorted accumulation keeps the value bit-identical under relabelings
-        cost = float(np.sum(np.sort(terms[terms > 0])))
-        if cost <= budget:
+        if _sorted_sum(w * dd[np.arange(n), cells]) <= budget:
             best = min(best, _entropy_bits(_cell_masses(cells, w, n)))
-        elif cost <= budget * 3 and len(borderline) < 12:
-            borderline.append(_cell_masses(cells, w, n))
 
-    for lam in borderline:
+    # a merge over budget passes by its map's cost, fails by its floor, else by LP
+    for cells in borderline:
+        lam = _cell_masses(cells, w, n)
         h = _entropy_bits(lam)
-        if h < best and kantorovich(DiscreteMeasure(lam), mu, d)[0] <= budget:
+        if h < best and (_sorted_sum(w * dd[np.arange(n), cells]) <= budget or (
+                _sorted_sum(w * dd[:, lam > 0].min(axis=1)) <= budget
+                and kantorovich(DiscreteMeasure(lam), mu, d)[0] <= budget)):
             best = h
     return best
+
+
+def _sorted_sum(terms: np.ndarray) -> float:
+    # sorted accumulation keeps a cost bit-identical under relabelings
+    return float(np.sum(np.sort(terms[terms > 0])))
 
 
 def _lower_bound(dd, w, epsilon, partitions) -> float:
@@ -219,17 +221,11 @@ def _lower_bound(dd, w, epsilon, partitions) -> float:
 
 
 def _zero_distance_classes(dd) -> np.ndarray:
-    n = dd.shape[0]
-    labels = np.full(n, -1, dtype=int)
-    nxt = 0
-    for i in range(n):
+    # the zero diagonal puts each unlabeled atom in the class it opens
+    labels = np.full(dd.shape[0], -1)
+    for i in range(len(labels)):
         if labels[i] == -1:
-            members = np.flatnonzero(dd[i] == 0.0)
-            for j in members:
-                if labels[j] == -1:
-                    labels[j] = nxt
-            labels[i] = nxt
-            nxt += 1
+            labels[(dd[i] == 0.0) & (labels == -1)] = labels.max() + 1
     return labels
 
 
@@ -317,8 +313,7 @@ def epsilon_entropy_oracle(
                 seeds.append(w.copy())
         for seed in seeds:
             best = refine_from(support, seed, best)
-    grid_error = _grid_error(n)
-    return OracleValue(value=best, grid_error=grid_error)
+    return OracleValue(value=best, grid_error=_grid_error(n))
 
 
 def _supports(n: int):
@@ -393,15 +388,18 @@ def _simplex_grid(n: int, support: tuple, step: float):
     return lams, entropies
 
 
-def _local_refine(n: int, support: np.ndarray, incumbent: np.ndarray, radius: float, step: float):
-    size = len(support)
-    base = incumbent[support]
+@lru_cache(maxsize=None)
+def _refine_offsets(size: int, radius: float, step: float) -> np.ndarray:
+    """Read-only offsets of the first size - 1 weights, in meshgrid C order."""
     deltas = np.arange(-radius, radius + step / 2, step)
-    grids = np.meshgrid(*([deltas] * (size - 1)), indexing="ij")
-    offsets = np.stack([g.ravel() for g in grids], axis=1)
-    weights = np.tile(base[:-1], (len(offsets), 1)) + offsets
-    last = 1.0 - weights.sum(axis=1)
-    weights = np.concatenate([weights, last[:, None]], axis=1)
+    offsets = np.array(list(itertools.product(deltas, repeat=size - 1)))
+    offsets.flags.writeable = False
+    return offsets
+
+
+def _local_refine(n: int, support: np.ndarray, incumbent: np.ndarray, radius: float, step: float):
+    weights = incumbent[support][:-1] + _refine_offsets(len(support), radius, step)
+    weights = np.concatenate([weights, 1.0 - weights.sum(axis=1, keepdims=True)], axis=1)
     ok = np.all(weights >= -1e-12, axis=1)
     weights = np.clip(weights[ok], 0.0, 1.0)
     weights /= weights.sum(axis=1, keepdims=True)

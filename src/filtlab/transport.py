@@ -72,8 +72,10 @@ def _solve_highs(a: np.ndarray, b: np.ndarray, dd: np.ndarray):
     cols = np.concatenate([np.arange(nv), np.arange(nv)])
     A = csr_matrix((np.ones(2 * nv), (rows, cols)), shape=(na + nb, nv))
     rhs = np.concatenate([a, b])
-    # last constraint is redundant (both marginals sum to 1); drop it for full rank
-    res = linprog(dd.ravel(), A_eq=A[:-1], b_eq=rhs[:-1], bounds=(0, None), method="highs")
+    # last constraint is redundant (both marginals sum to 1); drop it for full
+    # rank.  HiGHS's default feasibility tolerance, 1e-7, is looser than SOLVER_TOL
+    res = linprog(dd.ravel(), A_eq=A[:-1], b_eq=rhs[:-1], bounds=(0, None), method="highs",
+                  options={"primal_feasibility_tolerance": 1e-10})
     if res.status != 0:
         raise RuntimeError(f"transportation LP failed with status {res.status}: {res.message}")
     q = np.maximum(res.x.reshape(na, nb), 0.0)

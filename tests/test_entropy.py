@@ -82,6 +82,63 @@ def clear_oracle_caches():
     entropy._space_memo.cache_clear()
 
 
+def tied_space(rng, n):
+    """Random points with about a quarter coincident with atom 0 and about 30%
+    of the weights zero; about half the spaces put the points on a coarse
+    grid with weights in {1, 2, 3}, so that distances and weights tie."""
+    coarse = rng.random() < 0.5
+    pts = rng.integers(0, 4, (n, 3)) / 4 if coarse else rng.random((n, 3))
+    coincident = rng.random(n) < 0.25
+    coincident[0] = False
+    pts[coincident] = pts[0]
+    d = np.linalg.norm(pts[:, None] - pts[None, :], axis=-1)
+    w = rng.integers(1, 4, n).astype(float) if coarse else rng.random(n) + 0.05
+    w[rng.random(n) < 0.3] = 0.0
+    if not w.any():
+        w[0] = 1.0
+    return SemimetricMatrix(d), DiscreteMeasure(w / w.sum())
+
+
+def greedy_merges(dd, w):
+    """Every merge of the upper bound's greedy loop, run down to one atom, as
+    (cumulative push cost, merged measure, each atom's target)."""
+    n = len(w)
+    assignment = np.arange(n)
+    weights = w.copy()
+    spent = 0.0
+    merges = []
+    while np.count_nonzero(weights) > 1:
+        support = np.flatnonzero(weights > 0)
+        sub = dd[np.ix_(support, support)].copy()
+        np.fill_diagonal(sub, np.inf)
+        move = weights[support, None] * sub
+        src, dst = support[list(np.unravel_index(int(np.argmin(move)), move.shape))]
+        spent += float(move.min())
+        weights[dst] += weights[src]
+        weights[src] = 0.0
+        assignment[assignment == src] = dst
+        merges.append((spent, entropy._cell_masses(assignment, w, n), assignment.copy()))
+    return merges
+
+
+def sorted_sum(terms):
+    return float(np.sum(np.sort(terms[terms > 0])))
+
+
+def map_cost(dd, w, cells):
+    """Cost of the coupling that moves atom i to atom cells[i]."""
+    return sorted_sum(w * dd[np.arange(len(w)), cells])
+
+
+def support_floor(dd, w, lam):
+    """sum_i w_i min over the support of lam of d_ij, at most W(lam, mu)."""
+    return sorted_sum(w * dd[:, lam > 0].min(axis=1))
+
+
+def at_most(a, b):
+    return a <= b + 1e-12 * abs(b)
+
+
 class TestLipschitzVertices:
     def test_matches_reference_bytes(self):
         rng = np.random.default_rng(11)
@@ -214,6 +271,58 @@ class TestEntropyBounds:
                 brackets.append((b.lower, b.upper, b.clamped))
         digest = hashlib.sha256(repr(brackets).encode()).hexdigest()
         assert digest == "e261ca7914839c0aaa1b77d5f4ac8c6819a9cd1e6325830e6b38aa2a69201f80"
+
+
+class TestUpperBoundCertificates:
+    """The upper bound settles a candidate quantization lam by bounds on
+    W(lam, mu) that need no LP: a Voronoi rung by its own cost, a greedy merge
+    by the cost of its map or by the support floor."""
+
+    def test_greedy_floor_transport_map_push_ordered(self):
+        rng = np.random.default_rng(17)
+        checked = 0
+        for i in range(24):
+            d, mu = tied_space(rng, (3, 6, 12, 24)[i % 4])
+            for spent, lam, cells in greedy_merges(d.d, mu.w):
+                value = kantorovich(DiscreteMeasure(lam), mu, d)[0]
+                mapped = map_cost(d.d, mu.w, cells)
+                assert at_most(support_floor(d.d, mu.w, lam), value)
+                assert at_most(value, mapped)
+                assert at_most(mapped, spent)
+                checked += 1
+        assert checked > 100
+
+    def test_voronoi_rung_floor_is_its_cost(self):
+        rng = np.random.default_rng(18)
+        for i in range(40):
+            d, mu = tied_space(rng, (3, 6, 12, 60)[i % 4])
+            for cells in entropy._voronoi_ladder(d.d, mu.w):
+                lam = entropy._cell_masses(cells, mu.w, d.size)
+                cost = map_cost(d.d, mu.w, cells)
+                assert support_floor(d.d, mu.w, lam) == pytest.approx(cost, rel=4e-16, abs=0)
+
+    def test_lp_only_where_floor_and_map_straddle_the_budget(self, monkeypatch):
+        calls = []
+
+        def counting(lam, mu, d):
+            calls.append(lam.w)
+            return kantorovich(lam, mu, d)
+
+        monkeypatch.setattr(entropy, "kantorovich", counting)
+        rng = np.random.default_rng(19)
+        verified = 0
+        for i in range(80):
+            d, mu = tied_space(rng, (6, 12, 24, 48)[i % 4])
+            for eps in (0.02, 0.05, 0.1, 0.3):
+                calls.clear()
+                epsilon_entropy_bounds(d, mu, eps)
+                budget = eps - entropy.STRICT_MARGIN
+                over = [m for m in greedy_merges(d.d, mu.w) if m[0] > budget][:8]
+                for lam in calls:
+                    (_, _, cells), = [m for m in over if np.array_equal(m[1], lam)]
+                    assert support_floor(d.d, mu.w, lam) <= budget < map_cost(d.d, mu.w, cells)
+                verified += len(calls)
+        assert verified > 0
 
 
 class TestOracle:
