@@ -75,7 +75,7 @@ def iterate_semimetric(
     """
     if depth is None:
         depth = chain.depth
-    if depth > chain.depth:
+    if not 0 <= depth <= chain.depth:
         raise StructuralError(f"chain has {chain.depth} partitions, requested depth {depth}")
     if rho0.size != mu.size or mu.size != chain.space_size:
         raise StructuralError("rho0, mu and chain must share the same space")
@@ -182,8 +182,8 @@ def dyadic_bernoulli_chain(n_bits: int, depth: int | None = None):
     """
     if depth is None:
         depth = n_bits
-    if depth > n_bits:
-        raise StructuralError("depth cannot exceed the number of bits")
+    if not 0 <= depth <= n_bits:
+        raise StructuralError(f"depth {depth} is not between 0 and the {n_bits} bits")
     size = 1 << n_bits
     mu = DiscreteMeasure.uniform(size)
     pts = np.arange(size)

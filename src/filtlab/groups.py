@@ -30,6 +30,8 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
+# loaded with filtlab: numpy would load it lazily inside the first _philox call
+import numpy.random  # noqa: F401
 
 from .errors import SizeCapError, StructuralError, UnsupportedGroupError
 

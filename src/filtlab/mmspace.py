@@ -13,6 +13,8 @@ import json
 from dataclasses import dataclass
 
 import numpy as np
+# loaded with filtlab: numpy would load it lazily inside the first np.unique call
+import numpy.ma  # noqa: F401
 
 from .errors import DegenerateBlockError, StructuralError
 

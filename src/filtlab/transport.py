@@ -1,17 +1,15 @@
 """Exact Kantorovich distance and optimal couplings between discrete measures.
 
-The main solver reduces the transportation linear program to the measures'
-supports and hands it to HiGHS (scipy), then certifies the answer: marginal
-feasibility of the returned plan at 1e-9, and dual feasibility and
-complementary slackness at 1e-7.  Exactness matters because iterated
-constructions compound per-call error across levels; the 1e-9 budget keeps 20
-iterations below 1e-7 overall.
+The main solver is a transportation simplex on the measures' supports.  Its
+answer is certified: marginals at 1e-9, dual feasibility and complementary
+slackness of its potentials at 1e-7.  Iterated constructions compound
+per-call error across levels; the 1e-9 budget keeps 20 levels below 1e-7.
 
 Both solvers scale the support's costs by the power of two that puts the
 largest in [0.5, 1); this is exact, so every cost tolerance is relative to the
 largest support cost.  ``kantorovich_bruteforce`` is an independent oracle for
-tiny supports, a hand-rolled successive-shortest-paths flow with no vertex
-cross-check: HiGHS and the flow check each other.
+tiny supports, a successive-shortest-paths flow: it guards the simplex, and
+the test suite also checks the simplex against HiGHS.
 """
 
 from __future__ import annotations
@@ -19,8 +17,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import linprog
-from scipy.sparse import csr_matrix
 
 from .errors import SizeCapError, StructuralError
 from .mmspace import DiscreteMeasure, SemimetricMatrix
@@ -62,25 +58,67 @@ def _canonical_order(w: np.ndarray, rows: np.ndarray) -> np.ndarray:
     return np.lexsort((*np.sort(rows, axis=1).T[::-1], w))
 
 
-def _solve_highs(a: np.ndarray, b: np.ndarray, dd: np.ndarray):
+def _solve_simplex(a: np.ndarray, b: np.ndarray, dd: np.ndarray):
+    """Transportation simplex (the MODI or u-v method) on a spanning-tree basis.
+
+    Rows are nodes 0..na-1, columns na..na+nb-1, and arc (i, j) has index
+    i*nb + j.  The least-cost rule gives the first basis: a tree of na+nb-1
+    arcs, rooted at row 0 with potentials u, v (u[0] = 0).  Each pivot enters
+    the arc of most negative reduced cost dd - u - v (Dantzig) until none is
+    below -1e-12, moves the least flow of the cycle's decreasing arcs around
+    it, and drops the lowest-index such arc; the subtree that cuts off gets
+    new potentials.
+
+    Termination (in exact arithmetic): a pivot that moves flow lowers the
+    cost, so no basis recurs across it.  After (na+nb)//4 degenerate pivots
+    in a row the entering arc is the lowest-index one of negative reduced cost,
+    until flow moves: with the lowest-index leaving arc that is Bland's rule,
+    under which degenerate pivots cannot cycle among the finitely many bases.
+    """
     # an exact power-of-two scale puts the largest cost in [0.5, 1): the
     # tolerances below are relative to it, and the plan needs no unscaling
     dd = np.ldexp(dd, -np.frexp(dd.max())[1])
     na, nb = dd.shape
-    nv = na * nb
-    rows = np.concatenate([np.repeat(np.arange(na), nb), na + np.tile(np.arange(nb), na)])
-    cols = np.concatenate([np.arange(nv), np.arange(nv)])
-    A = csr_matrix((np.ones(2 * nv), (rows, cols)), shape=(na + nb, nv))
-    rhs = np.concatenate([a, b])
-    # last constraint is redundant (both marginals sum to 1); drop it for full
-    # rank.  HiGHS's default feasibility tolerance, 1e-7, is looser than SOLVER_TOL
-    res = linprog(dd.ravel(), A_eq=A[:-1], b_eq=rhs[:-1], bounds=(0, None), method="highs",
-                  options={"primal_feasibility_tolerance": 1e-10})
-    if res.status != 0:
-        raise RuntimeError(f"transportation LP failed with status {res.status}: {res.message}")
-    q = np.maximum(res.x.reshape(na, nb), 0.0)
-    duals = np.append(res.eqlin.marginals, 0.0)  # dropped row has potential 0
-    u, v = duals[:na], duals[na:]
+    cost = dd.tolist()
+    flow, adj = _least_cost_basis(a, b, dd)
+    parent, depth, pot = [-1] * (na + nb), [0] * (na + nb), [0.0] * (na + nb)
+    _hang(adj, cost, na, 0, parent, depth, pot)
+    stalled = 0
+    while True:
+        u, v = np.array(pot[:na]), np.array(pot[na:])
+        reduced = (dd - u[:, None] - v[None, :]).ravel()
+        k = int(np.argmin(reduced))
+        if reduced[k] >= -1e-12:
+            break
+        if stalled >= (na + nb) // 4:
+            k = int(np.argmax(reduced < -1e-12))
+        # the tree path from column j to row i; its arcs alternate -, +, ..., -
+        i, j = divmod(k, nb)
+        up, down = [na + j], [i]
+        while up[-1] != down[-1]:
+            if depth[up[-1]] >= depth[down[-1]]:
+                up.append(parent[up[-1]])
+            else:
+                down.append(parent[down[-1]])
+        path = up + down[-2::-1]
+        arcs = [min(x, y) * nb + max(x, y) - na for x, y in zip(path, path[1:])]
+        theta = min(flow[e] for e in arcs[::2])
+        leave = min(e for e in arcs[::2] if flow[e] == theta)
+        for t, e in enumerate(arcs):
+            flow[e] += theta if t % 2 else -theta
+        del flow[leave]
+        flow[k] = theta
+        stalled = stalled + 1 if theta == 0.0 else 0
+        li, lj = divmod(leave, nb)
+        adj[li].remove(na + lj)
+        adj[na + lj].remove(li)
+        adj[i].append(na + j)
+        adj[na + j].append(i)
+        # the subtree the leaving arc cuts off now hangs from the entering arc
+        root, top = (na + j, i) if arcs.index(leave) < len(up) - 1 else (i, na + j)
+        parent[root], depth[root], pot[root] = top, depth[top] + 1, cost[i][j] - pot[top]
+        _hang(adj, cost, na, root, parent, depth, pot)
+    q = np.bincount(list(flow), list(flow.values()), na * nb).reshape(na, nb)
     slack = u[:, None] + v[None, :] - dd
     if np.max(slack) > 1e-7:
         raise RuntimeError("dual infeasibility exceeds tolerance, solver unreliable here")
@@ -91,9 +129,44 @@ def _solve_highs(a: np.ndarray, b: np.ndarray, dd: np.ndarray):
     return q
 
 
-def kantorovich(
-    mu: DiscreteMeasure, nu: DiscreteMeasure, d: SemimetricMatrix
-) -> tuple[float, Coupling]:
+def _least_cost_basis(a: np.ndarray, b: np.ndarray, dd: np.ndarray):
+    """Flows on na+nb-1 arcs allocated cheapest first, and their adjacency lists."""
+    na, nb = dd.shape
+    ra, rb = a.tolist(), b.tolist()
+    rows_left, cols_left = na, nb
+    flow, adj = {}, [[] for _ in range(na + nb)]
+    for k in np.argsort(dd, axis=None, kind="stable").tolist():
+        i, j = divmod(k, nb)
+        if ra[i] is None or rb[j] is None:  # a closed line
+            continue
+        flow[k] = x = min(ra[i], rb[j])
+        ra[i] -= x
+        rb[j] -= x
+        adj[i].append(na + j)
+        adj[na + j].append(i)
+        if rows_left == cols_left == 1:
+            return flow, adj
+        # close one line; the last open row (column) serves the columns (rows) left
+        if cols_left == 1 or (rows_left > 1 and ra[i] <= rb[j]):
+            ra[i], rows_left = None, rows_left - 1
+        else:
+            rb[j], cols_left = None, cols_left - 1
+
+
+def _hang(adj: list, cost: list, na: int, root: int, parent: list, depth: list, pot: list):
+    """Set parent, depth and potential below `root` (its own are set) by a DFS."""
+    stack = [root]
+    while stack:
+        x = stack.pop()
+        for y in adj[x]:
+            if y != parent[x]:
+                parent[y], depth[y] = x, depth[x] + 1
+                pot[y] = (cost[x][y - na] if x < na else cost[y][x - na]) - pot[x]
+                stack.append(y)
+
+
+def kantorovich(mu: DiscreteMeasure, nu: DiscreteMeasure,
+                d: SemimetricMatrix) -> tuple[float, Coupling]:
     """Exact minimal transport cost between mu and nu over the ground semimetric.
 
     Returns ``(value, plan)`` where the plan is a feasible coupling and the
@@ -101,18 +174,15 @@ def kantorovich(
     certificate's tolerances are relative to the largest support cost.
     """
     if not (mu.size == nu.size == d.size):
-        raise StructuralError(
-            f"size mismatch: mu has {mu.size}, nu has {nu.size}, d has {d.size}"
-        )
+        raise StructuralError(f"size mismatch: mu has {mu.size}, nu has {nu.size}, "
+                              f"d has {d.size}")
     n = mu.size
     if np.array_equal(mu.w, nu.w):
         return 0.0, Coupling(np.diag(mu.w))
 
-    ia = np.flatnonzero(mu.w > 0)
-    ib = np.flatnonzero(nu.w > 0)
+    ia, ib = np.flatnonzero(mu.w > 0), np.flatnonzero(nu.w > 0)
     sub = d.d[np.ix_(ia, ib)]
-    a = mu.w[ia]
-    b = nu.w[ib]
+    a, b = mu.w[ia], nu.w[ib]
 
     if len(ia) == 1:
         qs = b[None, :].copy()
@@ -124,7 +194,7 @@ def kantorovich(
         # canonical atom order keeps the solve bit-identical under relabelings
         pa = _canonical_order(a, sub)
         pb = _canonical_order(b, sub.T)
-        q_sorted = _solve_highs(a[pa], b[pb], sub[np.ix_(pa, pb)])
+        q_sorted = _solve_simplex(a[pa], b[pb], sub[np.ix_(pa, pb)])
         qs = np.empty_like(q_sorted)
         qs[np.ix_(pa, pb)] = q_sorted
 
@@ -144,14 +214,9 @@ def kantorovich(
 
 def _solve_2x2(a: np.ndarray, b: np.ndarray, dd: np.ndarray) -> np.ndarray:
     # one free parameter t = q[0,0]; the cost is linear in t, so an endpoint wins
-    lo = max(0.0, a[0] - b[1])
-    hi = min(a[0], b[0])
-
-    def plan(t):
-        return np.array([[t, a[0] - t], [b[0] - t, a[1] - (b[0] - t)]])
-
-    q_lo, q_hi = plan(lo), plan(hi)
-    return q_lo if np.sum(q_lo * dd) <= np.sum(q_hi * dd) else q_hi
+    plans = [np.array([[t, a[0] - t], [b[0] - t, a[1] - (b[0] - t)]])
+             for t in (max(0.0, a[0] - b[1]), min(a[0], b[0]))]
+    return min(plans, key=lambda q: np.sum(q * dd))  # the first on a tie
 
 
 # ---------------------------------------------------------------------------
@@ -161,9 +226,7 @@ def _solve_2x2(a: np.ndarray, b: np.ndarray, dd: np.ndarray) -> np.ndarray:
 ORACLE_SUPPORT_CAP = 5
 
 
-def kantorovich_bruteforce(
-    mu: DiscreteMeasure, nu: DiscreteMeasure, d: SemimetricMatrix
-) -> float:
+def kantorovich_bruteforce(mu: DiscreteMeasure, nu: DiscreteMeasure, d: SemimetricMatrix) -> float:
     """Independent exact optimum for supports of at most 5 atoms each.
 
     Solves the flow problem by successive shortest augmenting paths (no LP
@@ -173,15 +236,11 @@ def kantorovich_bruteforce(
     """
     if not (mu.size == nu.size == d.size):
         raise StructuralError("size mismatch between measures and semimetric")
-    ia = np.flatnonzero(mu.w > 0)
-    ib = np.flatnonzero(nu.w > 0)
+    ia, ib = np.flatnonzero(mu.w > 0), np.flatnonzero(nu.w > 0)
     if len(ia) > ORACLE_SUPPORT_CAP or len(ib) > ORACLE_SUPPORT_CAP:
-        raise SizeCapError(
-            f"oracle supports at most {ORACLE_SUPPORT_CAP} atoms per side, "
-            f"got {len(ia)}x{len(ib)}"
-        )
-    a = mu.w[ia].copy()
-    b = nu.w[ib].copy()
+        raise SizeCapError(f"oracle supports at most {ORACLE_SUPPORT_CAP} atoms per side, "
+                           f"got {len(ia)}x{len(ib)}")
+    a, b = mu.w[ia], nu.w[ib]
     sub = d.d[np.ix_(ia, ib)]
     _, e = np.frexp(sub.max())
     return float(np.ldexp(_min_cost_flow(a, b, np.ldexp(sub, -e)), e))
@@ -195,8 +254,7 @@ def _min_cost_flow(a: np.ndarray, b: np.ndarray, dd: np.ndarray) -> float:
     """
     na, nb = dd.shape
     flow = np.zeros((na, nb))
-    rem_a = a.copy()
-    rem_b = b.copy()
+    rem_a, rem_b = a.copy(), b.copy()
     total = 0.0
     while np.any(rem_a > 1e-15):
         dist, parent = _bellman_ford(rem_a, flow, dd)
@@ -204,8 +262,7 @@ def _min_cost_flow(a: np.ndarray, b: np.ndarray, dd: np.ndarray) -> float:
         j = int(np.argmin(reachable))
         if not np.isfinite(reachable[j]):
             raise RuntimeError("no augmenting path; marginals inconsistent")
-        path = []
-        node = na + j
+        path, node = [], na + j
         for _ in range(na + nb + 1):
             prev = int(parent[node])
             if prev == -2:
@@ -215,10 +272,8 @@ def _min_cost_flow(a: np.ndarray, b: np.ndarray, dd: np.ndarray) -> float:
         else:
             raise RuntimeError("augmenting path reconstruction did not terminate")
         start = node
-        push = min(rem_a[start], rem_b[j])
-        for u, v in path:
-            if u >= na:  # residual arc demand->supply undoes existing flow
-                push = min(push, flow[v, u - na])
+        # a residual arc demand->supply undoes existing flow
+        push = min([rem_a[start], rem_b[j]] + [flow[v, u - na] for u, v in path if u >= na])
         for u, v in path:
             if u < na:
                 flow[u, v - na] += push
@@ -240,23 +295,17 @@ def _bellman_ford(rem_a, flow, dd):
     dist[:na][src] = 0.0
     parent[:na][src] = -2
     for _ in range(n):
-        changed = False
         cand = dist[:na, None] + dd
         best = cand.min(axis=0)
         improve = best < dist[na:] - 1e-15
-        if np.any(improve):
-            dist[na:][improve] = best[improve]
-            parent[na:][improve] = cand.argmin(axis=0)[improve]
-            changed = True
-        mask = flow > 1e-15
-        if mask.any():
-            cand2 = np.where(mask, dist[None, na:] - dd, np.inf)
-            best2 = cand2.min(axis=1)
-            improve2 = best2 < dist[:na] - 1e-15
-            if np.any(improve2):
-                dist[:na][improve2] = best2[improve2]
-                parent[:na][improve2] = na + cand2.argmin(axis=1)[improve2]
-                changed = True
-        if not changed:
+        dist[na:][improve] = best[improve]
+        parent[na:][improve] = cand.argmin(axis=0)[improve]
+        # residual arcs demand->supply exist only where flow runs
+        cand2 = np.where(flow > 1e-15, dist[None, na:] - dd, np.inf)
+        best2 = cand2.min(axis=1)
+        improve2 = best2 < dist[:na] - 1e-15
+        dist[:na][improve2] = best2[improve2]
+        parent[:na][improve2] = na + cand2.argmin(axis=1)[improve2]
+        if not (improve.any() or improve2.any()):
             break
     return dist, parent

@@ -69,6 +69,14 @@ class TestIterateSemimetric:
         with pytest.raises(StructuralError):
             iterate_semimetric(cylinder_hamming(3, 3), mu, chain, depth=5)
 
+    def test_negative_depth_raises(self):
+        mu, chain = dyadic_bernoulli_chain(3)
+        with pytest.raises(StructuralError):
+            iterate_semimetric(cylinder_hamming(3, 3), mu, chain, depth=-1)
+        with pytest.raises(StructuralError):
+            standardness_profile(cylinder_hamming(3, 3), mu, chain, depth=-1)
+        assert iterate_semimetric(cylinder_hamming(3, 3), mu, chain, depth=0) == []
+
     def test_null_blocks_skipped_not_fatal(self):
         from filtlab.errors import DegenerateBlockError
 
@@ -104,6 +112,16 @@ class TestMeanDistance:
         chain = PartitionChain(4, (Partition.from_blocks(4, [[0, 1], [2, 3]]),))
         lv = iterate_semimetric(discrete_metric(4), mu, chain)[0]
         assert mean_distance(lv.matrix, lv.quotient_measure()) == pytest.approx(0.5, abs=1e-12)
+
+
+class TestDyadicBernoulliChain:
+    def test_negative_depth_raises(self):
+        with pytest.raises(StructuralError):
+            dyadic_bernoulli_chain(3, -1)
+        with pytest.raises(StructuralError):
+            dyadic_bernoulli_chain(3, 4)
+        mu, chain = dyadic_bernoulli_chain(3, 0)
+        assert chain.depth == 0 and mu.size == 8
 
 
 class TestStandardnessProfile:

@@ -1,7 +1,14 @@
+import subprocess
+import sys
+from pathlib import Path
+from unittest import mock
+
 import numpy as np
 import pytest
 
+import filtlab
 from filtlab.errors import SizeCapError, StructuralError
+from filtlab.filtration import cylinder_hamming
 from filtlab.mmspace import DiscreteMeasure, SemimetricMatrix
 from filtlab.transport import (
     SOLVER_TOL,
@@ -175,10 +182,10 @@ class TestScaleFree:
             d = random_metric(rng, n)
             mu, nu = random_measure(rng, n), random_measure(rng, n)
             mu5, nu5 = (random_measure(rng, n, rng.choice(n, size=5, replace=False)) for _ in range(2))
-            highs, flow = kantorovich(mu, nu, d)[0], kantorovich_bruteforce(mu5, nu5, d)
+            simplex, flow = kantorovich(mu, nu, d)[0], kantorovich_bruteforce(mu5, nu5, d)
             for t in SCALES:
                 dt = d.scaled(t)
-                assert kantorovich(mu, nu, dt)[0] == pytest.approx(t * highs, rel=1e-12, abs=0)
+                assert kantorovich(mu, nu, dt)[0] == pytest.approx(t * simplex, rel=1e-12, abs=0)
                 assert kantorovich_bruteforce(mu5, nu5, dt) == pytest.approx(t * flow, rel=1e-12, abs=0)
 
     def test_line_closed_form(self):
@@ -201,7 +208,8 @@ class TestScaleFree:
 class TestHighsTolerance:
     def test_128_atom_plan_meets_solver_tol(self):
         # a 128-atom space whose plan missed its marginals by 9.8e-8 at every
-        # scale under HiGHS's default primal feasibility tolerance of 1e-7:
+        # scale when HiGHS solved it at its default primal feasibility
+        # tolerance of 1e-7; the simplex must meet SOLVER_TOL on it too:
         # random points in the unit cube and full-support measures, drawn from
         # seed 18 after the draws of 24 such metrics and 39 such measures
         rng = np.random.default_rng(18)
@@ -217,6 +225,116 @@ class TestHighsTolerance:
         for scale in (1.0, 1e6):
             _, plan = kantorovich(mu, nu, SemimetricMatrix(d * scale))
             assert plan.marginal_error(mu, nu) <= SOLVER_TOL
+
+
+def highs_reference(a, b, dd):
+    """Value and duals (u, v) of the transportation LP from scipy's HiGHS."""
+    from scipy.optimize import linprog
+    from scipy.sparse import csr_matrix
+
+    na, nb = dd.shape
+    rows = np.concatenate([np.repeat(np.arange(na), nb), na + np.tile(np.arange(nb), na)])
+    eq = csr_matrix((np.ones(2 * na * nb), (rows, np.tile(np.arange(na * nb), 2))),
+                    shape=(na + nb, na * nb))
+    # the last marginal constraint is redundant; its dual is 0
+    res = linprog(dd.ravel(), A_eq=eq[:-1], b_eq=np.concatenate([a, b])[:-1], bounds=(0, None),
+                  method="highs", options={"primal_feasibility_tolerance": 1e-10})
+    assert res.status == 0, res.message
+    duals = np.append(res.eqlin.marginals, 0.0)
+    return res.fun, duals[:na], duals[na:]
+
+
+def uniform_on(n, atoms):
+    w = np.zeros(n)
+    w[atoms] = 1.0 / len(atoms)
+    return DiscreteMeasure(w)
+
+
+class TestSimplexAgainstHighs:
+    """The transportation simplex against HiGHS, a reference used only here."""
+
+    def check(self, mu, nu, d):
+        value, plan = kantorovich(mu, nu, d)
+        ia, ib = np.flatnonzero(mu.w > 0), np.flatnonzero(nu.w > 0)
+        a, b, sub = mu.w[ia], nu.w[ib], d.d[np.ix_(ia, ib)]
+        ref, u, v = highs_reference(a, b, sub)
+        assert value == pytest.approx(ref, rel=1e-12, abs=1e-15)
+        assert plan.marginal_error(mu, nu) <= SOLVER_TOL
+        # HiGHS's duals certify the simplex's plan: dual feasible, and no gap
+        assert np.max(u[:, None] + v[None, :] - sub) <= 1e-9
+        assert abs(value - (a @ u + b @ v)) <= 1e-9
+
+    @pytest.mark.parametrize("n, count", [(3, 30), (8, 30), (32, 10), (128, 2)])
+    def test_random_euclidean(self, n, count):
+        rng = np.random.default_rng(n)
+        for _ in range(count):
+            self.check(random_measure(rng, n), random_measure(rng, n), random_metric(rng, n))
+
+    @pytest.mark.parametrize("k", [3, 5, 10, 24])
+    def test_48_by_k(self, k):
+        rng = np.random.default_rng(k)
+        for _ in range(5):
+            atoms = rng.permutation(48 + k)
+            self.check(random_measure(rng, 48 + k, atoms[:48]), random_measure(rng, 48 + k, atoms[48:]),
+                       random_metric(rng, 48 + k))
+
+    def test_uniform_blocks_of_cylinder_hamming(self):
+        d = cylinder_hamming(7, 7)
+        pts = np.arange(128)
+        for k in range(1, 7):
+            blocks, top = pts >> k, 127 >> k
+            for p, q in [(0, 1), (0, top), (top // 2, top)]:
+                self.check(uniform_on(128, pts[blocks == p]), uniform_on(128, pts[blocks == q]), d)
+        # the two halves of the cube, 64 atoms each
+        self.check(uniform_on(128, pts[:64]), uniform_on(128, pts[64:]), d)
+
+    def test_uniform_subsets_take_blands_rule(self):
+        # uniform weights on random atom subsets of the 7-bit Hamming cube give
+        # long runs of degenerate pivots: the solver must pass into Bland's
+        # rule (its only np.argmax) and still reach the optimum
+        rng = np.random.default_rng(9)
+        d = cylinder_hamming(7, 7)
+        with mock.patch.object(np, "argmax", wraps=np.argmax) as argmax:
+            for n in (16, 64, 128):
+                for _ in range(3):
+                    self.check(uniform_on(128, rng.choice(128, n, replace=False)),
+                               uniform_on(128, rng.choice(128, n, replace=False)), d)
+        assert argmax.call_count > 0
+
+    def test_discrete_metric(self):
+        rng = np.random.default_rng(10)
+        for n in (3, 7, 40):
+            for _ in range(5):
+                self.check(random_measure(rng, n), random_measure(rng, n), discrete_metric(n))
+            self.check(DiscreteMeasure.uniform(n), uniform_on(n, np.arange(n // 2 + 1)), discrete_metric(n))
+
+    def test_coincident_atoms(self):
+        rng = np.random.default_rng(11)
+        pts = rng.random((4, 3))[rng.integers(0, 4, 12)]  # 12 atoms on 4 points
+        d = SemimetricMatrix(np.linalg.norm(pts[:, None] - pts[None, :], axis=-1))
+        for _ in range(10):
+            self.check(random_measure(rng, 12), random_measure(rng, 12), d)
+        self.check(random_measure(rng, 5), random_measure(rng, 5), SemimetricMatrix(np.zeros((5, 5))))
+
+    def test_tiny_weights(self):
+        rng = np.random.default_rng(12)
+        for n in (6, 32):
+            d = random_metric(rng, n)
+            for _ in range(5):
+                raws = [rng.random(n) + 1e-3 for _ in range(2)]
+                for raw in raws:
+                    raw[rng.choice(n, n // 3, replace=False)] = rng.choice([1e-300, 1e-200, 1e-100, 1e-30], n // 3)
+                self.check(*(DiscreteMeasure(raw / raw.sum()) for raw in raws), d)
+
+
+class TestNoScipy:
+    def test_import_loads_no_scipy(self):
+        code = "import sys, filtlab.cli; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+        src = Path(filtlab.__file__).resolve().parents[1]
+        proc = subprocess.run([sys.executable, "-c", code], env={"PYTHONPATH": str(src)},
+                              capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "[]"
 
 
 class TestCoupling:
