@@ -374,14 +374,15 @@ def _simplex_grid(n: int, support: tuple, step: float):
         entropies = np.zeros(1)
     else:
         ticks = int(round(1.0 / step))
-        combos = itertools.combinations(range(ticks + size - 1), size - 1)
-        cuts = np.asarray(list(combos))
-        # stars and bars: differences of the cut positions give the tick counts
-        parts = np.diff(np.concatenate([
-            np.zeros((len(cuts), 1), dtype=int),
-            cuts - np.arange(size - 1),
-            np.full((len(cuts), 1), ticks, dtype=int),
-        ], axis=1), axis=1)
+        # stars and bars in lexicographic order: each next part takes 0..what
+        # is left, in turn, and the last part takes the rest
+        parts, left = np.zeros((1, 0), dtype=int), np.array([ticks])
+        for _ in range(size - 1):
+            reps = left + 1
+            nxt = np.arange(reps.sum()) - np.repeat(np.cumsum(reps) - reps, reps)
+            parts = np.column_stack([np.repeat(parts, reps, axis=0), nxt])
+            left = np.repeat(left, reps) - nxt
+        parts = np.column_stack([parts, left])
         lams, entropies = _embed_rows(n, np.asarray(support), parts / ticks)
     lams.flags.writeable = False
     entropies.flags.writeable = False

@@ -4,8 +4,9 @@ Level k is materialized over the quotient by the k-th partition (one node per
 block): the level-k distance between two blocks is the Kantorovich distance of
 their conditional measures over the level-(k-1) quotient, taken in the
 level-(k-1) semimetric.  Pairs inside one block are zero by construction, so
-the quotient loses nothing and the cost per level drops from |X|^2 to
-|X/xi_k|^2.
+the quotient loses nothing and the pairs per level drop from |X|^2 to
+|X/xi_k|^2.  Each pair is solved on its two blocks' supports alone, so it
+costs |support_b| * |support_c|, not the previous quotient's size squared.
 
 The mean distance c_k of each level never increases with k; how fast the
 sequence decays toward zero is the finite-scale signal that the chain behaves
@@ -28,7 +29,7 @@ from .mmspace import (
     PartitionChain,
     SemimetricMatrix,
 )
-from .transport import kantorovich
+from .transport import _transport_support
 
 MONOTONE_TOL = 1e-9
 
@@ -93,26 +94,18 @@ def iterate_semimetric(
         mass = np.bincount(node_block, weights=prev_mass, minlength=n_blocks)
         null = mass <= 0.0
 
-        # one conditional measure per non-null block, reused by all its pairs
+        # each non-null block's conditional measure on its support, for all its pairs
         conds = []
         for b in np.flatnonzero(~null):
-            members = np.flatnonzero(node_block == b)
-            w = np.zeros(prev_matrix.size)
-            w[members] = prev_mass[members] / mass[b]
-            conds.append((b, DiscreteMeasure(w)))
+            members = np.flatnonzero((node_block == b) & (prev_mass > 0))
+            conds.append((b, members, prev_mass[members] / mass[b]))
 
         d = np.zeros((n_blocks, n_blocks))
-        for (b, cb), (c, cc) in itertools.combinations(conds, 2):
-            value, _ = kantorovich(cb, cc, prev_matrix)
-            d[b, c] = d[c, b] = value
+        for (b, ib, wb), (c, ic, wc) in itertools.combinations(conds, 2):
+            d[b, c] = d[c, b] = _transport_support(wb, wc, prev_matrix.d[np.ix_(ib, ic)])[0]
 
-        level = LevelSemimetric(
-            level=k,
-            partition=xi,
-            matrix=SemimetricMatrix(d),
-            block_mass=mass,
-            null_blocks=null,
-        )
+        level = LevelSemimetric(level=k, partition=xi, matrix=SemimetricMatrix(d),
+                                block_mass=mass, null_blocks=null)
         levels.append(level)
         prev_matrix = level.matrix
         prev_mass = mass

@@ -105,6 +105,8 @@ class DiscreteMeasure:
 
     @classmethod
     def uniform(cls, n: int) -> "DiscreteMeasure":
+        if n < 1:
+            raise StructuralError(f"a uniform measure needs at least one atom, got {n}")
         return cls(np.full(n, 1.0 / n))
 
     @classmethod
@@ -135,7 +137,10 @@ class Partition:
     block_of: np.ndarray
 
     def __post_init__(self):
-        lab = np.array(self.block_of, dtype=int)
+        raw = np.asarray(self.block_of)
+        if raw.dtype.kind == "f" and not np.all(np.isfinite(raw) & (raw == np.trunc(raw))):
+            raise StructuralError("block labels must be integers")
+        lab = np.array(raw, dtype=int)
         if lab.ndim != 1 or lab.size == 0:
             raise StructuralError("block_of must be a nonempty integer vector")
         uniq = np.unique(lab)
@@ -279,8 +284,8 @@ def conditional_measure(mu: DiscreteMeasure, xi: Partition, block: int) -> Discr
     """
     if mu.size != xi.size:
         raise StructuralError("measure and partition sizes differ")
-    if not (0 <= block < xi.n_blocks):
-        raise StructuralError(f"block index {block} out of range")
+    if not (0 <= block < xi.n_blocks) or block != int(block):
+        raise StructuralError(f"block index {block} is not a block of the partition")
     members = np.flatnonzero(xi.block_of == block)
     mass = float(np.sum(mu.w[members]))
     if mass <= 0.0:

@@ -174,21 +174,24 @@ def kantorovich(mu: DiscreteMeasure, nu: DiscreteMeasure,
     certificate's tolerances are relative to the largest support cost.
     """
     if not (mu.size == nu.size == d.size):
-        raise StructuralError(f"size mismatch: mu has {mu.size}, nu has {nu.size}, "
-                              f"d has {d.size}")
-    n = mu.size
+        raise StructuralError(f"size mismatch: mu has {mu.size}, nu has {nu.size}, d has {d.size}")
     if np.array_equal(mu.w, nu.w):
         return 0.0, Coupling(np.diag(mu.w))
-
     ia, ib = np.flatnonzero(mu.w > 0), np.flatnonzero(nu.w > 0)
-    sub = d.d[np.ix_(ia, ib)]
-    a, b = mu.w[ia], nu.w[ib]
+    value, qs = _transport_support(mu.w[ia], nu.w[ib], d.d[np.ix_(ia, ib)])
+    q = np.zeros((mu.size, mu.size))
+    q[np.ix_(ia, ib)] = qs
+    return value, Coupling(q)
 
-    if len(ia) == 1:
-        qs = b[None, :].copy()
-    elif len(ib) == 1:
-        qs = a[:, None].copy()
-    elif len(ia) == 2 and len(ib) == 2:
+
+def _transport_support(a: np.ndarray, b: np.ndarray, sub: np.ndarray) -> tuple[float, np.ndarray]:
+    """`kantorovich` on the supports: positive weights a, b and their costs `sub`.
+    Returns the value and the plan, nonnegative and within SOLVER_TOL of a, b."""
+    if len(a) == 1:
+        qs = b[None, :]
+    elif len(b) == 1:
+        qs = a[:, None]
+    elif len(a) == 2 and len(b) == 2:
         qs = _solve_2x2(a, b, sub)
     else:
         # canonical atom order keeps the solve bit-identical under relabelings
@@ -200,16 +203,12 @@ def kantorovich(mu: DiscreteMeasure, nu: DiscreteMeasure,
 
     if np.any(qs < -1e-12):
         raise RuntimeError(f"solver produced negative mass {qs.min():.3e}")
-    q = np.zeros((n, n))
-    q[np.ix_(ia, ib)] = np.maximum(qs, 0.0)
-    plan = Coupling(q)
-    err = plan.marginal_error(mu, nu)
+    qs = np.maximum(qs, 0.0)
+    err = max(np.abs(qs.sum(axis=1) - a).max(), np.abs(qs.sum(axis=0) - b).max())
     if err > SOLVER_TOL:
         raise RuntimeError(f"plan marginals off by {err:.3e}")
     # sorted accumulation keeps the value bit-identical under atom relabelings
-    terms = (q * d.d)[q > 0]
-    value = float(np.sum(np.sort(terms))) if terms.size else 0.0
-    return value, plan
+    return float(np.sum(np.sort((qs * sub)[qs > 0]))), qs
 
 
 def _solve_2x2(a: np.ndarray, b: np.ndarray, dd: np.ndarray) -> np.ndarray:

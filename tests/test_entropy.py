@@ -389,6 +389,32 @@ class TestOracle:
             with pytest.raises(ValueError):
                 array[0] = 1.0
 
+    @pytest.mark.parametrize("support,step", [
+        *[(tuple(range(1, size + 1)), entropy._coarse_step(size)) for size in range(2, 6)],
+        ((0, 4), 1e-3),
+    ])
+    def test_simplex_grid_equals_stars_and_bars(self, support, step):
+        # the stars-and-bars grid as itertools builds it: cut positions in
+        # lexicographic order, tick counts from their differences
+        n, size = 6, len(support)
+        ticks = int(round(1.0 / step))
+        cuts = np.asarray(list(itertools.combinations(range(ticks + size - 1), size - 1)))
+        parts = np.diff(np.concatenate([
+            np.zeros((len(cuts), 1), dtype=int),
+            cuts - np.arange(size - 1),
+            np.full((len(cuts), 1), ticks, dtype=int),
+        ], axis=1), axis=1)
+        weights = parts / ticks
+        lams = np.zeros((len(weights), n))
+        lams[:, list(support)] = weights
+        pos = weights > 0
+        logs = np.where(pos, np.log2(np.where(pos, weights, 1.0)), 0.0)
+        entropies = -np.sum(weights * logs, axis=1)
+
+        got_lams, got_entropies = entropy._simplex_grid(n, support, step)
+        assert got_lams.tobytes() == lams.tobytes()
+        assert got_entropies.tobytes() == entropies.tobytes()
+
     def test_chunked_kvalues_equal_whole_product(self):
         rng = np.random.default_rng(13)
         d = random_metric(rng, 5)

@@ -1,6 +1,9 @@
+import itertools
+
 import numpy as np
 import pytest
 
+from filtlab import transport
 from filtlab.errors import StructuralError
 from filtlab.filtration import (
     cylinder_hamming,
@@ -16,6 +19,7 @@ from filtlab.mmspace import (
     SemimetricMatrix,
     validate_semimetric,
 )
+from filtlab.transport import kantorovich
 
 
 def discrete_metric(n):
@@ -96,6 +100,82 @@ class TestIterateSemimetric:
         assert mean_distance(level.matrix, DiscreteMeasure(masses)) == pytest.approx(
             0.5, abs=1e-12
         )
+
+
+def dense_levels(rho0, mu, chain):
+    """Each level's matrix the long way: full-size conditional measures over the
+    previous quotient, every non-null block pair through public kantorovich."""
+    out = []
+    prev_d, prev_mass, prev_part = rho0, mu.w, Partition.singletons(mu.size)
+    for xi in chain.partitions:
+        node_block = np.empty(prev_d.size, dtype=int)
+        node_block[prev_part.block_of] = xi.block_of
+        mass = np.bincount(node_block, weights=prev_mass, minlength=xi.n_blocks)
+        conds = {}
+        for b in np.flatnonzero(mass > 0):
+            members = np.flatnonzero(node_block == b)
+            w = np.zeros(prev_d.size)
+            w[members] = prev_mass[members] / mass[b]
+            conds[b] = DiscreteMeasure(w)
+        d = np.zeros((xi.n_blocks, xi.n_blocks))
+        for b, c in itertools.combinations(conds, 2):
+            d[b, c] = d[c, b] = kantorovich(conds[b], conds[c], prev_d)[0]
+        out.append(d)
+        prev_d, prev_mass, prev_part = SemimetricMatrix(d), mass, xi
+    return out
+
+
+class TestSupportLevelSolve:
+    def test_bitwise_equal_to_dense_reference(self):
+        # random chains with zero-weight atoms, null blocks and coincident
+        # atoms; the blocks' supports span the 1-atom, 2x2 and simplex paths
+        rng = np.random.default_rng(19)
+        seen = set()
+        for _ in range(30):
+            n = int(rng.integers(8, 25))
+            pts = rng.random((n, 2))
+            dup = rng.random(n) < 0.25
+            pts[dup] = pts[rng.integers(0, n, size=int(dup.sum()))]
+            d = np.linalg.norm(pts[:, None] - pts[None, :], axis=-1)
+            np.fill_diagonal(d, 0.0)
+            rho0 = SemimetricMatrix(d)
+            w = rng.random(n) * (rng.random(n) > 0.35)
+            w[0] += 0.1
+            mu = DiscreteMeasure(w / w.sum())
+            labels, parts = np.arange(n), []
+            while len(np.unique(labels)) > 1:
+                k = len(np.unique(labels))
+                merge_into = rng.integers(0, max(1, k // 3), size=k)
+                _, labels = np.unique(merge_into[labels], return_inverse=True)
+                parts.append(Partition(labels))
+            chain = PartitionChain(n, tuple(parts))
+
+            levels = iterate_semimetric(rho0, mu, chain)
+            for lv, ref in zip(levels, dense_levels(rho0, mu, chain), strict=True):
+                assert lv.matrix.d.tobytes() == ref.tobytes()
+            seen.add("coincident" if np.any(d[~np.eye(n, dtype=bool)] == 0) else "distinct")
+            # positive atoms per block over the previous quotient; 0 is a null block
+            prev_part, prev_mass = Partition.singletons(n), mu.w
+            for lv in levels:
+                node_block = np.empty(len(prev_mass), dtype=int)
+                node_block[prev_part.block_of] = lv.partition.block_of
+                positive = np.bincount(node_block, weights=prev_mass > 0,
+                                       minlength=len(lv.block_mass))
+                seen.update(min(int(p), 3) for p in positive)
+                prev_part, prev_mass = lv.partition, lv.block_mass
+        assert {"coincident", 0, 1, 2, 3} <= seen
+
+    def test_dyadic_profile_without_public_kantorovich(self, monkeypatch):
+        # the levels never build a full-size measure or coupling
+        def refuse(*args, **kwargs):
+            raise AssertionError("iterated levels must not call this")
+
+        monkeypatch.setattr(transport, "kantorovich", refuse)
+        monkeypatch.setattr(transport, "Coupling", refuse)
+        L = 7
+        mu, chain = dyadic_bernoulli_chain(L)
+        prof = standardness_profile(cylinder_hamming(L, L), mu, chain)
+        assert np.allclose(prof.c, [(L - k) / (2 * L) for k in range(L + 1)], atol=1e-12)
 
 
 class TestMeanDistance:

@@ -163,6 +163,19 @@ class TestTypes:
             PartitionChain(4, (fine, not_coarser))
         PartitionChain(4, (fine, Partition.trivial(4)))
 
+    @pytest.mark.parametrize("n", [0, -1])
+    def test_uniform_rejects_no_atoms(self, n):
+        with pytest.raises(StructuralError):
+            DiscreteMeasure.uniform(n)
+
+    @pytest.mark.parametrize("labels", [[0.5, 1.7], [0.0, 1.5], [0.0, np.nan], [0.0, np.inf]])
+    def test_partition_rejects_non_integral_labels(self, labels):
+        with pytest.raises(StructuralError):
+            Partition(np.array(labels))
+
+    def test_partition_accepts_integral_floats(self):
+        assert Partition(np.array([1.0, 0.0, 1.0])).block_of.tolist() == [1, 0, 1]
+
     def test_json_roundtrip(self):
         d = discrete_metric(3)
         mu = DiscreteMeasure([0.2, 0.3, 0.5])
@@ -195,6 +208,13 @@ class TestConditionalMeasure:
         xi = Partition.singletons(2)
         with pytest.raises(DegenerateBlockError):
             conditional_measure(mu, xi, 0)
+
+    def test_non_integral_block_is_structural(self):
+        mu = DiscreteMeasure.uniform(4)
+        xi = Partition.from_blocks(4, [[0, 1], [2, 3]])
+        with pytest.raises(StructuralError):
+            conditional_measure(mu, xi, 1.5)
+        assert np.array_equal(conditional_measure(mu, xi, 1.0).w, [0.0, 0.0, 0.5, 0.5])
 
     def test_law_of_total_measure(self):
         rng = np.random.default_rng(7)
