@@ -37,6 +37,8 @@ from .transport import kantorovich
 STRICT_MARGIN = 1e-12
 ORACLE_ATOM_CAP = 5
 ORACLE_GRID_STEP = 1e-3
+# (radius, step) of the oracle's refinement stages, coarse to fine
+_REFINE_STAGES = ((4e-2, 8e-3), (8e-3, 1.6e-3), (3e-3, ORACLE_GRID_STEP))
 # a k-value chunk holds at most _KVALUE_BUDGET products, which bounds its
 # temporary at 512 KiB
 _KVALUE_BUDGET = 1 << 16
@@ -248,15 +250,20 @@ def epsilon_entropy_oracle(
     Exhausts every support subset with a weight grid (coarse pass plus staged
     refinement to step 1e-3, seeded both at grid minima and at the natural
     merge structures), checking feasibility exactly through the dual vertex
-    description of the transport polytope.  The reported `grid_error` is the
+    description of the transport polytope.  A support whose floor (each atom
+    moved to its nearest support atom) is over budget holds no feasible
+    weights and is skipped.  The reported `grid_error` is the
     entropy-continuity slack of the final grid resolution: how far the true
     infimum plausibly sits below `value`.
 
-    The epsilon-independent work is memoized per process: the weight grid of
-    each (atoms, support, step), at most 57 grids shared by all spaces, and
-    the dual vertices and coarse-grid k-values of the most recent space
-    (keyed by the bytes of `d.d` and `mu.w`), so a sweep over epsilon on one
-    space pays for them once.  Cached arrays are read-only.
+    Each grid's rows are read in entropy order (`_Scan`), so k-values are
+    computed only up to the first chunk that holds a feasible row.  The
+    epsilon-independent work is memoized per process: the weight grid and
+    entropy order of each coarse (atoms, support, step), at most 57 grids
+    shared by all spaces, and for the most recent space (keyed by the bytes
+    of `d.d` and `mu.w`) its dual vertices and every grid it scanned, coarse
+    or refinement stage, with the k-values read so far, so a sweep over
+    epsilon on one space reads each row once.  Cached arrays are read-only.
     """
     if not epsilon > 0:
         raise DomainError("epsilon must be positive")
@@ -270,37 +277,42 @@ def epsilon_entropy_oracle(
         raise StructuralError("oracle requires a true semimetric (triangle inequality)")
     budget = epsilon - STRICT_MARGIN
     w = mu.w
-    potentials, coarse = _space_memo(d.d.tobytes(), w.tobytes())
+    potentials, scans = _space_memo(d.d.tobytes(), w.tobytes())
+    # the slack absorbs rounding in floors and k-values
+    floor_budget = budget + 1e-9 * max(1.0, float(d.d.max()))
 
-    def refine_from(support, seed, best):
+    def refine_from(combo, seed, best):
         """Staged local search; recenters on the feasible minimum, or walks
         toward feasibility when a stage finds none (thin-sliver geometry)."""
         current = seed
-        for radius, step in ((4e-2, 8e-3), (8e-3, 1.6e-3), (3e-3, ORACLE_GRID_STEP)):
-            lams, entropies = _local_refine(n, support, current, radius=radius, step=step)
-            kv = _kvalues(lams, w, potentials)
-            ok = kv <= budget
-            if np.any(ok):
-                idx = int(np.argmin(np.where(ok, entropies, np.inf)))
-                best = min(best, float(entropies[idx]))
-                current = lams[idx]
-            else:
-                current = lams[int(np.argmin(kv))]
+        for radius, step in _REFINE_STAGES:
+            key = (combo, current.tobytes(), radius, step)
+            if key not in scans:
+                scans[key] = _Scan(*_local_refine(n, np.asarray(combo), current, radius, step))
+            scan = scans[key]
+            idx, feasible = scan.pick(w, potentials, budget)
+            if feasible:
+                best = min(best, float(scan.entropies[idx]))
+            current = scan.lams[idx]
         return best
 
     best = _entropy_bits(w)
-    for combo, kv in zip(_supports(n), coarse):
+    for combo in _supports(n):
         support = np.asarray(combo)
+        # W1(lam, mu) >= this floor for every lam on the support
+        if float(w @ d.d[:, support].min(axis=1)) > floor_budget:
+            continue
         size = len(combo)
         step = _coarse_step(size)
-        lams, entropies = _simplex_grid(n, combo, step)
-        ok = kv <= budget
+        if combo not in scans:
+            scans[combo] = _Scan(*_simplex_grid(n, combo, step))
+        scan = scans[combo]
+        idx, feasible = scan.pick(w, potentials, budget)
         seeds = []
-        if np.any(ok):
-            idx = int(np.argmin(np.where(ok, entropies, np.inf)))
-            best = min(best, float(entropies[idx]))
+        if feasible:
+            best = min(best, float(scan.entropies[idx]))
             if size >= 3 and step > ORACLE_GRID_STEP:
-                seeds.append(lams[idx])
+                seeds.append(scan.lams[idx])
         if size >= 3:
             # nearest-atom pushforward: the natural merge structure on
             # this support, a seed even when the coarse grid missed the
@@ -312,7 +324,7 @@ def epsilon_entropy_oracle(
             if size == n:
                 seeds.append(w.copy())
         for seed in seeds:
-            best = refine_from(support, seed, best)
+            best = refine_from(combo, seed, best)
     return OracleValue(value=best, grid_error=_grid_error(n))
 
 
@@ -333,22 +345,54 @@ def _kvalues(lams: np.ndarray, w: np.ndarray, potentials: np.ndarray) -> np.ndar
     return np.concatenate([((part - w) @ potentials.T).max(axis=1) for part in parts])
 
 
+class _Scan:
+    """One weight grid with its rows in stable entropy order, and the
+    k-values read so far along that order (read-only, kept for the next
+    epsilon).  The first row along the order with k <= budget is the one
+    argmin(where(k <= budget, entropies, inf)) picks.  Reads go in chunks of
+    64 rows, then of as many as were read before; no chunk is a single row
+    unless the grid is, so each k-value has the whole product's bytes.
+    """
+
+    def __init__(self, lams: np.ndarray, entropies: np.ndarray, order: np.ndarray | None = None):
+        self.lams, self.entropies = lams, entropies
+        self.order = np.argsort(entropies, kind="stable") if order is None else order
+        self.kvalues = np.empty(0)
+        for array in (lams, entropies, self.order, self.kvalues):
+            array.flags.writeable = False
+
+    def pick(self, w: np.ndarray, potentials: np.ndarray, budget: float) -> tuple[int, bool]:
+        """(row, True) for the least-entropy row with k <= budget, else
+        (the first row of least k, False)."""
+        total = len(self.order)
+        hits = np.flatnonzero(self.kvalues <= budget)
+        while not hits.size and len(self.kvalues) < total:
+            start = len(self.kvalues)
+            stop = min(total, start + max(64, start))
+            if stop == total - 1:
+                stop = total
+            chunk = _kvalues(self.lams[self.order[start:stop]], w, potentials)
+            hits = start + np.flatnonzero(chunk <= budget)
+            self.kvalues = np.concatenate([self.kvalues, chunk])
+            self.kvalues.flags.writeable = False
+        if hits.size:
+            return int(self.order[hits[0]]), True
+        kv = np.empty(total)
+        kv[self.order] = self.kvalues
+        return int(np.argmin(kv)), False
+
+
 @lru_cache(maxsize=1)
 def _space_memo(d_key: bytes, w_key: bytes) -> tuple:
     """The read-only dual vertices of the metric whose bytes are `d_key`, and
-    the read-only k-values of every support's coarse grid in `_supports`
-    order, for the measure whose bytes are `w_key`; neither depends on
-    epsilon."""
-    w = np.frombuffer(w_key)
-    n = len(w)
+    an empty dict that the oracle fills with the `_Scan` of every grid it
+    reads for the measure whose bytes are `w_key`: a coarse grid under its
+    support, a refinement stage under (support, centre bytes, radius, step).
+    Neither depends on epsilon."""
+    n = len(w_key) // 8
     potentials = _lipschitz_vertices(np.frombuffer(d_key).reshape(n, n))
     potentials.flags.writeable = False
-    coarse = []
-    for combo in _supports(n):
-        kv = _kvalues(_simplex_grid(n, combo, _coarse_step(len(combo)))[0], w, potentials)
-        kv.flags.writeable = False
-        coarse.append(kv)
-    return potentials, tuple(coarse)
+    return potentials, {}
 
 
 def _coarse_step(size: int) -> float:
@@ -365,8 +409,8 @@ def _grid_error(n: int) -> float:
 @lru_cache(maxsize=None)
 def _simplex_grid(n: int, support: tuple, step: float):
     """Stars-and-bars grid of weights at `step` on `support` among n atoms,
-    read-only, with each row's entropy.  Row order matters: the oracle
-    refines the first of tied minima."""
+    read-only, with each row's entropy and the rows' stable entropy order.
+    Row order matters: the oracle refines the first of tied minima."""
     size = len(support)
     if size == 1:
         lams = np.zeros((1, n))
@@ -384,9 +428,10 @@ def _simplex_grid(n: int, support: tuple, step: float):
             left = np.repeat(left, reps) - nxt
         parts = np.column_stack([parts, left])
         lams, entropies = _embed_rows(n, np.asarray(support), parts / ticks)
-    lams.flags.writeable = False
-    entropies.flags.writeable = False
-    return lams, entropies
+    order = np.argsort(entropies, kind="stable")
+    for array in (lams, entropies, order):
+        array.flags.writeable = False
+    return lams, entropies, order
 
 
 @lru_cache(maxsize=None)

@@ -212,10 +212,14 @@ def _transport_support(a: np.ndarray, b: np.ndarray, sub: np.ndarray) -> tuple[f
 
 
 def _solve_2x2(a: np.ndarray, b: np.ndarray, dd: np.ndarray) -> np.ndarray:
-    # one free parameter t = q[0,0]; the cost is linear in t, so an endpoint wins
-    plans = [np.array([[t, a[0] - t], [b[0] - t, a[1] - (b[0] - t)]])
-             for t in (max(0.0, a[0] - b[1]), min(a[0], b[0]))]
-    return min(plans, key=lambda q: np.sum(q * dd))  # the first on a tie
+    # one free parameter t = q[0,0]; the cost is linear in t, so an endpoint
+    # wins.  Each is priced in Python floats in np.sum's order over a C-ordered
+    # 2x2 array, ((x0 + x1) + x2) + x3; the first wins a tie
+    (a0, a1), (b0, b1) = a.tolist(), b.tolist()
+    d00, d01, d10, d11 = dd.ravel().tolist()
+    plans = [(t, a0 - t, b0 - t, a1 - (b0 - t)) for t in (max(0.0, a0 - b1), min(a0, b0))]
+    best = min(plans, key=lambda q: q[0] * d00 + q[1] * d01 + q[2] * d10 + q[3] * d11)
+    return np.array(best).reshape(2, 2)
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,8 @@
+import gc
 import hashlib
 import itertools
 import math
+import weakref
 
 import numpy as np
 import pytest
@@ -380,12 +382,37 @@ class TestOracle:
         info = entropy._space_memo.cache_info()
         assert (info.misses, info.hits, info.currsize) == (3, 2, 1)
 
+    def test_stage_memo_holds_only_the_current_space(self):
+        rng = np.random.default_rng(15)
+        first = (random_metric(rng, 5), random_measure(rng, 5))
+        second = (random_metric(rng, 5), random_measure(rng, 5))
+        clear_oracle_caches()
+        for eps in (0.05, 0.1, 0.3):
+            epsilon_entropy_oracle(*first, eps)
+        _, scans = entropy._space_memo(first[0].d.tobytes(), first[1].w.tobytes())
+        stages = [scan for key, scan in scans.items() if len(key) == 4]
+        assert stages and len(stages) < len(scans)  # refinement stages next to coarse grids
+        read = {key: len(scan.kvalues) for key, scan in scans.items()}
+        epsilon_entropy_oracle(*first, 0.05)
+        assert {key: len(scan.kvalues) for key, scan in scans.items()} == read  # no stage or row is new
+        held = [weakref.ref(scan) for scan in scans.values()]
+        del scans, stages
+        epsilon_entropy_oracle(*second, 0.1)
+        gc.collect()
+        assert entropy._space_memo.cache_info().currsize == 1
+        assert all(ref() is None for ref in held)
+
     def test_cached_arrays_read_only(self):
         d = simplex_metric(4)
         epsilon_entropy_oracle(d, DiscreteMeasure.uniform(4), 0.1)
-        lams, entropies = entropy._simplex_grid(4, (0, 1, 2), entropy._coarse_step(3))
-        vertices, kvalues = entropy._space_memo(d.d.tobytes(), DiscreteMeasure.uniform(4).w.tobytes())
-        for array in (lams, entropies, vertices, kvalues[-1]):
+        grid = entropy._simplex_grid(4, (0, 1, 2), entropy._coarse_step(3))
+        vertices, scans = entropy._space_memo(d.d.tobytes(), DiscreteMeasure.uniform(4).w.tobytes())
+        assert any(len(key) == 4 for key in scans)  # refinement stages are held
+        arrays = [*grid, vertices]
+        for scan in scans.values():
+            assert len(scan.kvalues) > 0
+            arrays += [scan.lams, scan.entropies, scan.order, scan.kvalues]
+        for array in arrays:
             with pytest.raises(ValueError):
                 array[0] = 1.0
 
@@ -411,19 +438,93 @@ class TestOracle:
         logs = np.where(pos, np.log2(np.where(pos, weights, 1.0)), 0.0)
         entropies = -np.sum(weights * logs, axis=1)
 
-        got_lams, got_entropies = entropy._simplex_grid(n, support, step)
+        got_lams, got_entropies, got_order = entropy._simplex_grid(n, support, step)
         assert got_lams.tobytes() == lams.tobytes()
         assert got_entropies.tobytes() == entropies.tobytes()
+        assert got_order.tobytes() == np.argsort(entropies, kind="stable").tobytes()
 
     def test_chunked_kvalues_equal_whole_product(self):
         rng = np.random.default_rng(13)
         d = random_metric(rng, 5)
         w = random_measure(rng, 5).w
         potentials = _lipschitz_vertices(d.d)
-        lams, _ = entropy._simplex_grid(5, (0, 1, 2, 3, 4), entropy._coarse_step(5))
+        lams, _, _ = entropy._simplex_grid(5, (0, 1, 2, 3, 4), entropy._coarse_step(5))
         assert len(lams) * len(potentials) > 4 * entropy._KVALUE_BUDGET  # several chunks
         whole = ((lams - w) @ potentials.T).max(axis=1)
         assert entropy._kvalues(lams, w, potentials).tobytes() == whole.tobytes()
+
+    def test_kvalues_of_row_subsets_equal_whole_product(self):
+        # the entropy-ordered scan reads k-values of any >= 2 rows, in any
+        # order, and relies on each row getting the whole product's bytes
+        rng = np.random.default_rng(16)
+        for n, size in ((3, 3), (4, 4), (5, 4), (5, 5)):
+            d = random_metric(rng, n)
+            w = random_measure(rng, n).w
+            potentials = _lipschitz_vertices(d.d)
+            lams = entropy._simplex_grid(n, tuple(range(size)), entropy._coarse_step(size))[0]
+            whole = ((lams - w) @ potentials.T).max(axis=1)
+            for _ in range(100):
+                rows = rng.choice(len(lams), int(rng.integers(2, 2000)), replace=False)
+                assert entropy._kvalues(lams[rows], w, potentials).tobytes() == whole[rows].tobytes()
+
+    @pytest.mark.parametrize("tied", [False, True])
+    @pytest.mark.parametrize("rows", [1, 2, 3, 63, 64, 65, 66, 129, 1000, 5000])
+    def test_scan_picks_the_dense_argmin(self, rows, tied):
+        # tied entropies (with signed zeros), budgets at exact k-values, below
+        # every k-value and above all of them; one scan serves every budget
+        rng = np.random.default_rng(rows)
+        d = random_metric(rng, 5)
+        w = random_measure(rng, 5).w
+        potentials = _lipschitz_vertices(d.d)
+        lams = rng.dirichlet(np.ones(5), rows)
+        entropies = rng.choice([-0.0, 0.0, 0.5, 1.0, 1.5], rows) if tied else rng.random(rows)
+        kv = entropy._kvalues(lams, w, potentials)
+        scan = entropy._Scan(lams.copy(), entropies.copy())
+        budgets = [*rng.choice(kv, min(rows, 16)), kv.min() - 1e-3, kv.max(), np.median(kv)]
+        feasible = 0
+        for budget in rng.permutation(budgets):
+            ok = kv <= budget
+            if np.any(ok):
+                want = (int(np.argmin(np.where(ok, entropies, np.inf))), True)
+                feasible += 1
+            else:
+                want = (int(np.argmin(kv)), False)
+            assert scan.pick(w, potentials, budget) == want
+        assert 0 < feasible < len(budgets)
+        assert scan.kvalues.tobytes() == kv[scan.order[:len(scan.kvalues)]].tobytes()
+
+    @pytest.mark.parametrize("scale", [1e-3, 1.0, 1e3])
+    def test_floor_skip_drops_only_infeasible_supports(self, scale):
+        # dense k-values on the coarse grid and on every refinement stage from
+        # the push seed of each support whose floor is over budget; the dual
+        # vertex set is complete at these scales, so k-values are W1
+        rng = np.random.default_rng(17)
+        dropped = 0
+        for _ in range(12):
+            n = int(rng.integers(3, 6))
+            d = random_metric(rng, n).d * scale
+            w = random_measure(rng, n).w
+            potentials = _lipschitz_vertices(d)
+            for eps in (0.05, 0.1, 0.3):
+                budget = eps * scale - entropy.STRICT_MARGIN
+                for combo in entropy._supports(n):
+                    support = np.asarray(combo)
+                    floor = float(w @ d[:, support].min(axis=1))
+                    if floor <= budget + 1e-9 * max(1.0, float(d.max())):
+                        continue
+                    dropped += 1
+                    lams = entropy._simplex_grid(n, combo, entropy._coarse_step(len(combo)))[0]
+                    assert np.all(entropy._kvalues(lams, w, potentials) > budget)
+                    if len(combo) < 3:
+                        continue
+                    current = np.zeros(n)
+                    np.add.at(current, support[np.argmin(d[:, support], axis=1)], w)
+                    for radius, step in entropy._REFINE_STAGES:
+                        lams, _ = entropy._local_refine(n, support, current, radius, step)
+                        kv = entropy._kvalues(lams, w, potentials)
+                        assert np.all(kv > budget)
+                        current = lams[int(np.argmin(kv))]
+        assert dropped > 0
 
     def test_refuses_large(self):
         with pytest.raises(SizeCapError):

@@ -14,6 +14,8 @@ from filtlab.transport import (
     SOLVER_TOL,
     Coupling,
     _canonical_order,
+    _solve_2x2,
+    _transport_support,
     kantorovich,
     kantorovich_bruteforce,
 )
@@ -139,6 +141,40 @@ class TestKantorovich:
             keys = [(w[i], tuple(np.sort(rows[i])), i) for i in range(na)]
             want = sorted(range(na), key=keys.__getitem__)
             assert _canonical_order(w, rows).tolist() == want
+
+
+def solve_2x2_arrays(a, b, dd):
+    """Both endpoint plans built as arrays and priced with np.sum."""
+    plans = [np.array([[t, a[0] - t], [b[0] - t, a[1] - (b[0] - t)]])
+             for t in (max(0.0, a[0] - b[1]), min(a[0], b[0]))]
+    return min(plans, key=lambda q: np.sum(q * dd))  # the first on a tie
+
+
+class TestSolve2x2:
+    @pytest.mark.parametrize("tied", [False, True])
+    def test_matches_array_pricing_bit_for_bit(self, tied):
+        # tied inputs: quarter weights and half-integer costs, so that both
+        # endpoints often cost the same or coincide
+        rng = np.random.default_rng(22)
+        ties = 0
+        for _ in range(3000):
+            if tied:
+                a, b = (rng.integers(1, 4, 2) / 4.0 for _ in range(2))
+                dd = rng.integers(0, 3, (2, 2)) / 2.0
+            else:
+                a, b, dd = rng.random(2), rng.random(2), rng.random((2, 2))
+            a, b = a / a.sum(), b / b.sum()
+            want = solve_2x2_arrays(a, b, dd)
+            assert _solve_2x2(a, b, dd).tobytes() == want.tobytes()
+            with mock.patch("filtlab.transport._solve_2x2", solve_2x2_arrays):
+                value, plan = _transport_support(a, b, dd)
+            got_value, got_plan = _transport_support(a, b, dd)
+            assert (got_value, got_plan.tobytes()) == (value, plan.tobytes())
+            lo, hi = (np.array([[t, a[0] - t], [b[0] - t, a[1] - (b[0] - t)]])
+                      for t in (max(0.0, a[0] - b[1]), min(a[0], b[0])))
+            ties += lo.tobytes() != hi.tobytes() and np.sum(lo * dd) == np.sum(hi * dd)
+        if tied:
+            assert ties > 0  # distinct endpoint plans of equal cost were met
 
 
 class TestBruteforceOracle:
