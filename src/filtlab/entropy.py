@@ -2,8 +2,8 @@
 
 The epsilon-entropy of (X, rho, mu) is the least Shannon entropy among
 discrete measures lying within Kantorovich distance epsilon of mu.  On a
-finite space the infimum runs over weight vectors on the atoms; it is not
-computed exactly here but bracketed:
+finite space the infimum runs over weight vectors on the atoms; it is
+bracketed:
 
 * upper bound: the least entropy among certified candidate quantizations:
   Voronoi rungs of farthest-point nets, certified by their own cost; greedy
@@ -13,8 +13,14 @@ computed exactly here but bracketed:
   cell marginals within total variation eps / (inter-cell gap) of mu's, and
   entropy continuity turns that into a certified floor.
 
+On spaces of at most five atoms an exact oracle, which enumerates the
+vertices of the coupling polytope, checks the bracket.
+
 The strict feasibility constraint `cost < eps` is realized as
-`cost <= eps - 1e-12`: open conditions are unverifiable in floating point.
+`cost <= eps - 1e-12 * 2^e`, where 2^-e puts the largest distance in
+[0.5, 1): open conditions are unverifiable in floating point, and a margin
+relative to the metric's scale keeps every value when d and eps are scaled
+by a power of two.
 
 Scaling analysis lives here too: evaluating entropy tables against scaling
 families, fitting growth exponents on log-log grids, and classifying
@@ -23,7 +29,6 @@ exponential versus subexponential growth.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass, field
 from functools import lru_cache
@@ -36,12 +41,6 @@ from .transport import kantorovich
 
 STRICT_MARGIN = 1e-12
 ORACLE_ATOM_CAP = 5
-ORACLE_GRID_STEP = 1e-3
-# (radius, step) of the oracle's refinement stages, coarse to fine
-_REFINE_STAGES = ((4e-2, 8e-3), (8e-3, 1.6e-3), (3e-3, ORACLE_GRID_STEP))
-# a k-value chunk holds at most _KVALUE_BUDGET products, which bounds its
-# temporary at 512 KiB
-_KVALUE_BUDGET = 1 << 16
 
 
 def binary_entropy(t: float) -> float:
@@ -98,7 +97,7 @@ def epsilon_entropy_bounds(
     if d.size != mu.size:
         raise StructuralError("semimetric and measure sizes differ")
     ladder = _voronoi_ladder(d.d, mu.w)
-    upper = _upper_bound(d, mu, epsilon - STRICT_MARGIN, ladder[:-1])
+    upper = _upper_bound(d, mu, _strict_budget(d, epsilon), ladder[:-1])
     lower = _lower_bound(d.d, mu.w, epsilon, ladder[1:48])
     clamped = lower > upper
     if clamped:
@@ -239,31 +238,32 @@ def _zero_distance_classes(dd) -> np.ndarray:
 @dataclass(frozen=True)
 class OracleValue:
     value: float
-    grid_error: float
+    grid_error: float  # rounding slack of an exact value, not a grid step
+    weights: tuple  # the minimizing quantization, one weight per atom
 
 
 def epsilon_entropy_oracle(
     d: SemimetricMatrix, mu: DiscreteMeasure, epsilon: float
 ) -> OracleValue:
-    """Near-exact epsilon-entropy for spaces of at most 5 atoms.
+    """Exact epsilon-entropy for spaces of at most 5 atoms.
 
-    Exhausts every support subset with a weight grid (coarse pass plus staged
-    refinement to step 1e-3, seeded both at grid minima and at the natural
-    merge structures), checking feasibility exactly through the dual vertex
-    description of the transport polytope.  A support whose floor (each atom
-    moved to its nearest support atom) is over budget holds no feasible
-    weights and is skipped.  The reported `grid_error` is the
-    entropy-continuity slack of the final grid resolution: how far the true
-    infimum plausibly sits below `value`.
+    The quantizations within budget (epsilon less the strict margin) of mu
+    are the column sums lam of couplings pi >= 0 with row sums mu.w and cost
+    <pi, d> <= budget.  H(lam) is concave in pi, so its minimum over that
+    polytope sits at a vertex, and a vertex has at most n + 1 nonzero
+    entries.  So it is either a map, which sends each atom's mass to one
+    atom, or a split: a map with one row r divided between its target and a
+    costlier atom a, at the share that puts the cost on the budget.  The
+    oracle enumerates all n^n maps and every split whose share lies strictly
+    between 0 and 1, and returns the least entropy among the feasible ones
+    with the weights that reach it.  A pair of atoms at the same distance
+    from r is never split.  `grid_error` is a constant 1e-9, the slack for
+    rounding in the vertex weights and entropies.
 
-    Each grid's rows are read in entropy order (`_Scan`), so k-values are
-    computed only up to the first chunk that holds a feasible row.  The
-    epsilon-independent work is memoized per process: the weight grid and
-    entropy order of each coarse (atoms, support, step), at most 57 grids
-    shared by all spaces, and for the most recent space (keyed by the bytes
-    of `d.d` and `mu.w`) its dual vertices and every grid it scanned, coarse
-    or refinement stage, with the k-values read so far, so a sweep over
-    epsilon on one space reads each row once.  Cached arrays are read-only.
+    The maps, their costs and pushforwards, and each split's cost change per
+    unit of mass do not depend on epsilon; they are cached as read-only
+    arrays for the most recent space, keyed by the bytes of `d.d` and
+    `mu.w`, so each epsilon of a sweep costs one vectorized pass.
     """
     if not epsilon > 0:
         raise DomainError("epsilon must be positive")
@@ -275,221 +275,59 @@ def epsilon_entropy_oracle(
     report = validate_semimetric(d.d)
     if not report.valid:
         raise StructuralError("oracle requires a true semimetric (triangle inequality)")
-    budget = epsilon - STRICT_MARGIN
-    w = mu.w
-    potentials, scans = _space_memo(d.d.tobytes(), w.tobytes())
-    # the slack absorbs rounding in floors and k-values
-    floor_budget = budget + 1e-9 * max(1.0, float(d.d.max()))
-
-    def refine_from(combo, seed, best):
-        """Staged local search; recenters on the feasible minimum, or walks
-        toward feasibility when a stage finds none (thin-sliver geometry)."""
-        current = seed
-        for radius, step in _REFINE_STAGES:
-            key = (combo, current.tobytes(), radius, step)
-            if key not in scans:
-                scans[key] = _Scan(*_local_refine(n, np.asarray(combo), current, radius, step))
-            scan = scans[key]
-            idx, feasible = scan.pick(w, potentials, budget)
-            if feasible:
-                best = min(best, float(scan.entropies[idx]))
-            current = scan.lams[idx]
-        return best
-
-    best = _entropy_bits(w)
-    for combo in _supports(n):
-        support = np.asarray(combo)
-        # W1(lam, mu) >= this floor for every lam on the support
-        if float(w @ d.d[:, support].min(axis=1)) > floor_budget:
-            continue
-        size = len(combo)
-        step = _coarse_step(size)
-        if combo not in scans:
-            scans[combo] = _Scan(*_simplex_grid(n, combo, step))
-        scan = scans[combo]
-        idx, feasible = scan.pick(w, potentials, budget)
-        seeds = []
-        if feasible:
-            best = min(best, float(scan.entropies[idx]))
-            if size >= 3 and step > ORACLE_GRID_STEP:
-                seeds.append(scan.lams[idx])
-        if size >= 3:
-            # nearest-atom pushforward: the natural merge structure on
-            # this support, a seed even when the coarse grid missed the
-            # thin feasible region around it
-            assign = support[np.argmin(d.d[:, support], axis=1)]
-            push = np.zeros(n)
-            np.add.at(push, assign, w)
-            seeds.append(push)
-            if size == n:
-                seeds.append(w.copy())
-        for seed in seeds:
-            best = refine_from(combo, seed, best)
-    return OracleValue(value=best, grid_error=_grid_error(n))
-
-
-def _supports(n: int):
-    """Every support subset of n atoms, by size, then lexicographically."""
-    return [c for size in range(1, n + 1) for c in itertools.combinations(range(n), size)]
-
-
-def _kvalues(lams: np.ndarray, w: np.ndarray, potentials: np.ndarray) -> np.ndarray:
-    """k(lam, mu) = max over dual vertices u of u . (lam - mu), per row.
-
-    Rows go through in near-equal chunks of at most `_KVALUE_BUDGET` products
-    each; no chunk is a single row unless `lams` is, since numpy sends a
-    one-row product down a different BLAS routine.
-    """
-    rows = max(4, _KVALUE_BUDGET // len(potentials))
-    parts = np.array_split(lams, max(1, -(-len(lams) // rows)))
-    return np.concatenate([((part - w) @ potentials.T).max(axis=1) for part in parts])
-
-
-class _Scan:
-    """One weight grid with its rows in stable entropy order, and the
-    k-values read so far along that order (read-only, kept for the next
-    epsilon).  The first row along the order with k <= budget is the one
-    argmin(where(k <= budget, entropies, inf)) picks.  Reads go in chunks of
-    64 rows, then of as many as were read before; no chunk is a single row
-    unless the grid is, so each k-value has the whole product's bytes.
-    """
-
-    def __init__(self, lams: np.ndarray, entropies: np.ndarray, order: np.ndarray | None = None):
-        self.lams, self.entropies = lams, entropies
-        self.order = np.argsort(entropies, kind="stable") if order is None else order
-        self.kvalues = np.empty(0)
-        for array in (lams, entropies, self.order, self.kvalues):
-            array.flags.writeable = False
-
-    def pick(self, w: np.ndarray, potentials: np.ndarray, budget: float) -> tuple[int, bool]:
-        """(row, True) for the least-entropy row with k <= budget, else
-        (the first row of least k, False)."""
-        total = len(self.order)
-        hits = np.flatnonzero(self.kvalues <= budget)
-        while not hits.size and len(self.kvalues) < total:
-            start = len(self.kvalues)
-            stop = min(total, start + max(64, start))
-            if stop == total - 1:
-                stop = total
-            chunk = _kvalues(self.lams[self.order[start:stop]], w, potentials)
-            hits = start + np.flatnonzero(chunk <= budget)
-            self.kvalues = np.concatenate([self.kvalues, chunk])
-            self.kvalues.flags.writeable = False
-        if hits.size:
-            return int(self.order[hits[0]]), True
-        kv = np.empty(total)
-        kv[self.order] = self.kvalues
-        return int(np.argmin(kv)), False
+    # mu itself is within epsilon, whatever the margin
+    budget = max(_strict_budget(d, epsilon), 0.0)
+    costs, pushes, (maps, rows, targets, atoms, gaps) = _vertex_memo(d.d.tobytes(), mu.w.tobytes())
+    # the mass a split moves from the row's target to the costlier atom
+    moved = (budget - costs[maps]) / gaps
+    split = (moved > 0) & (moved < mu.w[rows])
+    moved = moved[split]
+    lams = pushes[maps[split]]
+    k = np.arange(len(lams))
+    lams[k, atoms[split]] += moved
+    lams[k, targets[split]] -= moved
+    lams = np.concatenate([pushes[costs <= budget], lams])
+    # sorted rows, as `_entropy_bits` sums them
+    p = np.sort(lams, axis=1)
+    entropies = -np.sum(p * np.log2(np.where(p > 0, p, 1.0)), axis=1)
+    weights = lams[int(np.argmin(entropies))]
+    # a one-atom quantization holds mu's total mass, which may round off 1
+    # (and 1 itself gives -0.0), so its entropy is set, not summed
+    value = _entropy_bits(weights) if np.count_nonzero(weights) > 1 else 0.0
+    return OracleValue(value=value, grid_error=1e-9, weights=tuple(weights.tolist()))
 
 
 @lru_cache(maxsize=1)
-def _space_memo(d_key: bytes, w_key: bytes) -> tuple:
-    """The read-only dual vertices of the metric whose bytes are `d_key`, and
-    an empty dict that the oracle fills with the `_Scan` of every grid it
-    reads for the measure whose bytes are `w_key`: a coarse grid under its
-    support, a refinement stage under (support, centre bytes, radius, step).
-    Neither depends on epsilon."""
-    n = len(w_key) // 8
-    potentials = _lipschitz_vertices(np.frombuffer(d_key).reshape(n, n))
-    potentials.flags.writeable = False
-    return potentials, {}
-
-
-def _coarse_step(size: int) -> float:
-    return {1: 1.0, 2: ORACLE_GRID_STEP, 3: 1e-2}.get(size, 2.5e-2)
-
-
-def _grid_error(n: int) -> float:
-    # entropy continuity over the final grid resolution, plus feasibility
-    # quantization: tolerance for how far the reported min may overshoot
-    tau = ORACLE_GRID_STEP * n
-    return tau * math.log2(max(n - 1, 1)) + binary_entropy(min(tau, 0.5)) + 1e-9
-
-
-@lru_cache(maxsize=None)
-def _simplex_grid(n: int, support: tuple, step: float):
-    """Stars-and-bars grid of weights at `step` on `support` among n atoms,
-    read-only, with each row's entropy and the rows' stable entropy order.
-    Row order matters: the oracle refines the first of tied minima."""
-    size = len(support)
-    if size == 1:
-        lams = np.zeros((1, n))
-        lams[0, support[0]] = 1.0
-        entropies = np.zeros(1)
-    else:
-        ticks = int(round(1.0 / step))
-        # stars and bars in lexicographic order: each next part takes 0..what
-        # is left, in turn, and the last part takes the rest
-        parts, left = np.zeros((1, 0), dtype=int), np.array([ticks])
-        for _ in range(size - 1):
-            reps = left + 1
-            nxt = np.arange(reps.sum()) - np.repeat(np.cumsum(reps) - reps, reps)
-            parts = np.column_stack([np.repeat(parts, reps, axis=0), nxt])
-            left = np.repeat(left, reps) - nxt
-        parts = np.column_stack([parts, left])
-        lams, entropies = _embed_rows(n, np.asarray(support), parts / ticks)
-    order = np.argsort(entropies, kind="stable")
-    for array in (lams, entropies, order):
+def _vertex_memo(d_key: bytes, w_key: bytes) -> tuple:
+    """The epsilon-independent part of the oracle for the metric and weights
+    whose bytes are `d_key` and `w_key`, all read-only: each map's cost and
+    pushforward, maps in lexicographic order, and each split as (map, row,
+    the row's target, the costlier atom, cost change per unit of mass).  Costs
+    and pushforwards are summed in sorted order, so they keep their bytes
+    under a relabelling of the atoms."""
+    w = np.frombuffer(w_key)
+    n = len(w)
+    dd = np.frombuffer(d_key).reshape(n, n)
+    sends = np.indices((n,) * n).reshape(n, -1).T  # row r of map m goes to sends[m, r]
+    rows = np.arange(n)
+    mass = np.zeros((len(sends), n, n))
+    mass[np.arange(len(sends))[:, None], rows, sends] = w
+    pushes = np.sort(mass, axis=1).sum(axis=1)
+    sent = dd[rows, sends]  # each row's distance to its target
+    costs = np.sort(w * sent, axis=1).sum(axis=1)
+    gaps = dd[None, :, :] - sent[:, :, None]
+    maps, split_rows, atoms = np.nonzero((gaps > 0) & (w[:, None] > 0))
+    splits = (maps, split_rows, sends[maps, split_rows], atoms, gaps[maps, split_rows, atoms])
+    for array in (costs, pushes, *splits):
         array.flags.writeable = False
-    return lams, entropies, order
+    return costs, pushes, splits
 
 
-@lru_cache(maxsize=None)
-def _refine_offsets(size: int, radius: float, step: float) -> np.ndarray:
-    """Read-only offsets of the first size - 1 weights, in meshgrid C order."""
-    deltas = np.arange(-radius, radius + step / 2, step)
-    offsets = np.array(list(itertools.product(deltas, repeat=size - 1)))
-    offsets.flags.writeable = False
-    return offsets
-
-
-def _local_refine(n: int, support: np.ndarray, incumbent: np.ndarray, radius: float, step: float):
-    weights = incumbent[support][:-1] + _refine_offsets(len(support), radius, step)
-    weights = np.concatenate([weights, 1.0 - weights.sum(axis=1, keepdims=True)], axis=1)
-    ok = np.all(weights >= -1e-12, axis=1)
-    weights = np.clip(weights[ok], 0.0, 1.0)
-    weights /= weights.sum(axis=1, keepdims=True)
-    return _embed_rows(n, support, weights)
-
-
-def _embed_rows(n: int, support: np.ndarray, weights: np.ndarray):
-    """Each row of `weights` placed on `support` among n atoms, and its entropy in bits."""
-    lams = np.zeros((len(weights), n))
-    lams[:, support] = weights
-    pos = weights > 0
-    logs = np.where(pos, np.log2(np.where(pos, weights, 1.0)), 0.0)
-    return lams, -np.sum(weights * logs, axis=1)
-
-
-def _lipschitz_vertices(dd: np.ndarray) -> np.ndarray:
-    """Vertices of {u : u_0 = 0, |u_i - u_j| <= d_ij}.
-
-    Every vertex comes from a spanning tree of tight constraints with signed
-    edge lengths.  Starting from u_0 = 0, each step places one more atom j at
-    u_i + d_ij or u_i - d_ij from a placed atom i, for every such (j, i) of
-    every row, so each value is summed along its path from atom 0 (n <= 5,
-    so at most 9,216 candidates at the last step).  A row leaves as soon as a
-    constraint between placed atoms has slack > 1e-9; the rest are rounded to
-    12 decimals, and each distinct vertex is kept as it first appears, sorted.
-    """
-    n = dd.shape[0]
-    u = np.zeros((1, n))
-    placed = np.arange(n)[None, :] == 0
-    for _ in range(n - 1):
-        row, j, i = (np.repeat(a, 2) for a in np.nonzero(~placed[:, :, None] & placed[:, None, :]))
-        u, placed, k = u[row], placed[row], np.arange(len(row))
-        u[k, j] = u[k, i] + np.tile([1.0, -1.0], len(k) // 2) * dd[i, j]
-        placed[k, j] = True
-        # a violated constraint between placed atoms stays violated
-        pairs = placed[:, :, None] & placed[:, None, :]
-        slack = np.where(pairs, u[:, :, None] - u[:, None, :] - dd, -np.inf)
-        feasible = slack.max(axis=(1, 2)) <= 1e-9
-        u, placed = u[feasible], placed[feasible]
-    u = np.round(u, 12)
-    # rows compare by value (-0.0 == 0.0, as in a set of tuples); the first
-    # candidate of each vertex is the one kept
-    _, first = np.unique(u, axis=0, return_index=True)
-    return u[first]
+def _strict_budget(d: SemimetricMatrix, epsilon: float) -> float:
+    """The budget that realizes `cost < epsilon`: epsilon less STRICT_MARGIN
+    times 2^e, where 2^-e puts max d in [0.5, 1), so that scaling d and
+    epsilon by a power of two scales the budget exactly."""
+    return epsilon - math.ldexp(STRICT_MARGIN, math.frexp(float(d.d.max()))[1])
 
 
 # ---------------------------------------------------------------------------
