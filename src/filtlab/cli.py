@@ -73,44 +73,44 @@ def load_config(path: str) -> dict:
     kind = cfg.get("experiment")
     if kind not in EXPERIMENTS:
         raise ConfigError(f"{path}: unknown experiment {kind!r}; expected one of {EXPERIMENTS}")
-    if not isinstance(cfg.get("seed"), int):
+    if type(cfg.get("seed")) is not int:  # a boolean is not a seed
         raise ConfigError(f"{path}: 'seed' must be an integer master seed")
     return cfg
 
 
 def _group_from_config(cfg: dict) -> GroupSpec:
-    section = cfg.get("group")
-    if not isinstance(section, dict):
-        raise ConfigError("'group' section missing")
-    kind = section.get("kind")
+    section = _section(cfg, "group", ["kind"])
+    kind = section["kind"]
     try:
         if kind == "lattice":
-            return GroupSpec.lattice(int(section["d"]))
+            return GroupSpec.lattice(_positive(section, "group", "d"))
         if kind == "free":
-            return GroupSpec.free(int(section["s"]))
+            return GroupSpec.free(_positive(section, "group", "s"))
         if kind == "heisenberg":
             return GroupSpec.heisenberg()
-    except (KeyError, TypeError, ValueError, StructuralError) as exc:
+    except (KeyError, StructuralError) as exc:
         raise ConfigError(f"'group' section invalid: {exc}") from exc
     raise ConfigError(f"unknown group kind {kind!r}")
 
 
-def _require(cfg: dict, section: str, keys) -> dict:
-    sec = cfg.get(section)
+def _section(cfg: dict, section: str, required=()) -> dict:
+    """`cfg[section]`, an object holding every key in `required`; {} if absent."""
+    sec = cfg.get(section, {})
     if not isinstance(sec, dict):
-        raise ConfigError(f"'{section}' section missing")
-    for key in keys:
+        raise ConfigError(f"'{section}' section must be an object, got {sec!r}")
+    for key in required:
         if key not in sec:
             raise ConfigError(f"'{section}.{key}' missing")
     return sec
 
 
 def _positive(sec, section: str, key, least: int = 1) -> int:
-    """`sec[key]` as an integer of at least `least`."""
-    try:
-        value = int(sec[key])
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"'{section}.{key}' must be an integer: {exc}") from exc
+    """`sec[key]` as an integer (or integral float, never a bool) of at least `least`."""
+    value = sec[key]
+    if isinstance(value, float) and value.is_integer():
+        value = int(value)
+    if type(value) is not int:
+        raise ConfigError(f"'{section}.{key}' must be an integer, got {value!r}")
     if value < least:
         raise ConfigError(f"'{section}.{key}' must be at least {least}, got {value}")
     return value
@@ -133,15 +133,14 @@ def _leaf_cap(walk: dict) -> int:
     return _positive(walk, "walk", "leaf_cap") if "leaf_cap" in walk else DEFAULT_LEAF_CAP
 
 
-def _positive_real(sec, section: str, key, below: float = math.inf) -> float:
-    """`sec[key]` as a finite number above 0 and below `below`."""
-    try:
-        value = float(sec[key])
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"'{section}.{key}' must be a number: {exc}") from exc
-    if not 0.0 < value < below:
+def _positive_real(sec, section: str, key, below: float = sys.float_info.max) -> float:
+    """`sec[key]` as a number (never a bool) above 0 and below `below`."""
+    value = sec[key]
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ConfigError(f"'{section}.{key}' must be a number, got {value!r}")
+    if not 0 < value < below:  # compared before float(), which overflows past the bound
         raise ConfigError(f"'{section}.{key}' must lie in (0, {below}), got {value!r}")
-    return value
+    return float(value)
 
 
 def config_hash(cfg: dict, seed: int) -> str:
@@ -176,7 +175,7 @@ def _code_digest() -> str:
 
 def _run_standardness(cfg, seed):
     spec = _group_from_config(cfg)
-    walk = _require(cfg, "walk", ["n_max", "pairs"])
+    walk = _section(cfg, "walk", ["n_max", "pairs"])
     estimates = mean_distance_profile(
         spec,
         n_max=_positive(walk, "walk", "n_max"),
@@ -197,7 +196,7 @@ def _run_standardness(cfg, seed):
 
 def _run_ball_measure(cfg, seed):
     spec = _group_from_config(cfg)
-    walk = _require(cfg, "walk", ["levels", "m", "epsilon", "samples"])
+    walk = _section(cfg, "walk", ["levels", "m", "epsilon", "samples"])
     m = _positive(walk, "walk", "m")
     levels = _depths(walk, "walk", "levels")
     samples = _positive(walk, "walk", "samples", least=100)
@@ -218,12 +217,12 @@ def _run_ball_measure(cfg, seed):
 
 def _run_scaling_fit(cfg, seed):
     spec = _group_from_config(cfg)
-    grid = _require(cfg, "entropy_grid", ["epsilons", "levels", "sample_points"])
+    grid = _section(cfg, "entropy_grid", ["epsilons", "levels", "sample_points"])
     points = _positive(grid, "entropy_grid", "sample_points")
     # the fit takes log2(1 / epsilon), so every epsilon lies in (0, 1)
     given = _listed(grid, "entropy_grid", "epsilons")
     epsilons = [_positive_real(given, "entropy_grid.epsilons", i, 1.0) for i in range(len(given))]
-    walk = cfg.get("walk", {})
+    walk = _section(cfg, "walk")
     leaf_cap = _leaf_cap(walk)
     m = None if walk.get("m") is None else _positive(walk, "walk", "m")
     header = ["n", "epsilon", "H_lower", "H_upper", "method", "seed"]
@@ -261,7 +260,7 @@ def _run_scaling_fit(cfg, seed):
 
 
 def _run_orbit_entropy(cfg, seed):
-    sec = _require(cfg, "orbit", ["n_max", "r", "alphabet"])
+    sec = _section(cfg, "orbit", ["n_max", "r", "alphabet"])
     n_max, k = _positive(sec, "orbit", "n_max"), _positive(sec, "orbit", "alphabet")
     r = _positive(sec, "orbit", "r", least=2)
     header = ["n", "orbit_count", "H_bits", "h_normalized"]
@@ -283,7 +282,7 @@ def _run_orbit_entropy(cfg, seed):
 
 def _run_meeting_diagnostic(cfg, seed):
     spec = _group_from_config(cfg)
-    sec = _require(cfg, "meeting", ["pairs", "h", "c"])
+    sec = _section(cfg, "meeting", ["pairs", "h", "c"])
     pairs, h = _positive(sec, "meeting", "pairs"), _positive(sec, "meeting", "h")
     c = _positive_real(sec, "meeting", "c")
     cap = _positive(sec, "meeting", "cap") if "cap" in sec else h**5
@@ -348,7 +347,9 @@ def run_experiment(cfg: dict, out_dir: str, seed_override=None, threads: int = 1
     and ignored, every experiment runs serially."""
     seed = int(cfg["seed"]) if seed_override is None else int(seed_override)
     digest = config_hash(cfg, seed)
-    basename = cfg.get("output", {}).get("basename") or f"{cfg['experiment']}_{digest}"
+    basename = _section(cfg, "output").get("basename", f"{cfg['experiment']}_{digest}")
+    if not isinstance(basename, str) or not basename or {"/", "\\"} & set(basename):
+        raise ConfigError(f"'output.basename' must be a non-empty file name, got {basename!r}")
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     csv_path = out / f"{basename}.csv"

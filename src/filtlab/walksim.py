@@ -27,11 +27,13 @@ read.  Per height a call ranks the subtrees of all its points at once, a
 class being the rank of a sorted (child bit, child class) row among the rows
 present (as in `treewalk.orbit_partition`), then solves every block's table
 over (x class, y class) in one padded array.  An entry is the cheapest child
-matching by a subset DP, bit for bit the r! permutation minimum (at r >= 8
-the DP defines the value; see `_min_matching`).  Ranks follow one canonical
-order, so every entry is that of the pair alone, whatever else the call
-holds.  The generic recursive `treewalk.tree_distance` on the explicit leaf
-systems is the reference the engine is tested against.
+matching, found by a subset DP.  Tables hold integer numerators: at height h
+an entry is r^h * height times the distance of its subtrees, so a child
+costs its entry one height down plus r^(h-1) if the child bits differ.  Sums
+are exact, so one final division gives the correctly rounded distance, that
+of the pair alone whatever else the call holds, and d(x, y) = d(y, x).  The
+generic recursive `treewalk.tree_distance` on the explicit leaf systems is
+the reference the engine is tested against.
 
 All Monte Carlo sampling is counter-based: any statistic is a pure function of
 (spec, parameters, master seed).
@@ -244,13 +246,13 @@ class WalkDistanceEngine:
     def _solve(self, xs, ys, owner_x, owner_y):
         """The block kernel (module docstring): xs[i] and ys[j] belong to
         blocks owner_x[i] and owner_y[j], each non-decreasing from 0.  Returns
-        the top tables, (block, x class, y class) divided by the height, and
-        each point's class position in its block."""
+        the top tables of distances, (block, x class, y class), and each
+        point's class position in its block."""
         square = ys is xs
         bits = [self.profile(p) for p in (xs if square else [*xs, *ys])]
         r, nx = self.r, len(xs)
         x = y = (np.arange(owner_x[-1] + 1), 1)  # height 0: one class per block
-        w = np.zeros((len(x[0]), 1, 1))
+        w = np.zeros((len(x[0]), 1, 1), dtype=np.int64)
         for h in range(1, self.height + 1):
             level = np.concatenate([b[self.height - h] for b in bits])
             if h == 1:  # every child class is 0: a row ranks as its count of 1 bits
@@ -266,11 +268,12 @@ class WalkDistanceEngine:
                 rows = key[first]
             defs = np.empty((len(rows), 2 * r), dtype=np.int64)
             defs[:, 0::2], defs[:, 1::2] = np.divmod(rows, big)
+            defs[:, 0::2] *= r ** (h - 1)  # a child bit weighs r^(h-1)
             split = nx * r ** (self.height - h)
             x = _block_classes(cls[:split], owner_x, defs, x)
             y = x if square else _block_classes(cls[split:], owner_y, defs, y)
             w = _block_tables(w, x, y)
-        w /= self.height
+        w = w / (r**self.height * self.height)  # the one rounding
         roots_x = _positions(cls[:nx], owner_x, x)
         return w, roots_x, roots_x if square else _positions(cls[nx:], owner_y, y)
 
@@ -280,7 +283,7 @@ def _block_classes(cls, owner, defs, below):
     (point by point) and each point's block `owner`: the blocks' classes as
     sorted keys block * classes + class, the class count, and (child, block,
     class position) arrays of child positions among the block's classes in
-    `below` and of child bits.  Padding reads position 0."""
+    `below` and of child bits, as given in `defs`.  Padding reads position 0."""
     ncls, r = len(defs), defs.shape[1] // 2
     keys = np.unique(cls.reshape(len(owner), -1) + (owner * ncls)[:, None])
     block, c = np.divmod(keys, ncls)
@@ -298,12 +301,12 @@ def _positions(cls, owner, side):
 
 
 def _block_tables(w, x, y):
-    """One height of every block's table from the tables `w` one height down,
-    divided by r.  Child costs w[block, x child, y child] + (bits differ) are
-    gathered in chunks of at most `_GATHER_BUDGET`, over blocks, rows, columns."""
+    """One height h of every block's integer table from the tables `w` one
+    height down: a child costs w[block, x child, y child] + (x bit ^ y bit),
+    bits weighted by r^(h-1), in chunks of at most `_GATHER_BUDGET`."""
     (subs_x, bits_x), (subs_y, bits_y) = x[2:], y[2:]
     r, blocks, nx, ny = *subs_x.shape, subs_y.shape[2]
-    out = np.empty((blocks, nx, ny))
+    out = np.empty((blocks, nx, ny), dtype=np.int64)
     cols = min(ny, max(1, _GATHER_BUDGET // (r * r)))
     rows = min(nx, max(1, _GATHER_BUDGET // (r * r * cols)))
     group = max(1, _GATHER_BUDGET // (r * r * cols * rows))
@@ -313,19 +316,18 @@ def _block_tables(w, x, y):
             sx, bx = (a[:, None, g : g + group, i : i + rows, None] for a in (subs_x, bits_x))
             for j in range(0, ny, cols):
                 sy, by = (a[None, :, g : g + group, None, j : j + cols] for a in (subs_y, bits_y))
-                out[g : g + group, i : i + rows, j : j + cols] = _min_matching(w[at, sx, sy] + (bx != by))
-    return out / r
+                out[g : g + group, i : i + rows, j : j + cols] = _min_matching(w[at, sx, sy] + (bx ^ by))
+    return out
 
 
 def _min_matching(c):
     """For costs c[i, j] of x child i against y child j (then any cell axes),
-    the minimum over permutations p of c[0, p[0]] + c[1, p[1]] + ... added
-    left to right, by the subset DP f[S] = min over j in S of f[S - {j}] +
-    c[|S| - 1, j].  Rounded addition is monotone, so the DP is bit for bit
-    that minimum.  numpy sums r < 8 lanes left to right too; from r = 8 it
-    sums pairwise, and this DP defines the value."""
+    the minimum over permutations p of c[0, p[0]] + c[1, p[1]] + ..., by the
+    subset DP f[S] = min over j in S of f[S - {j}] + c[|S| - 1, j].  The
+    engine's costs are integers, so the result is that minimum exactly, in
+    the dtype of c."""
     r = len(c)
-    f = {0: 0.0}
+    f = {0: 0}
     for s in range(1, 1 << r):
         terms = (f[s ^ 1 << j] + c[s.bit_count() - 1, j] for j in range(r) if s >> j & 1)
         f[s] = reduce(np.minimum, terms)
@@ -487,14 +489,10 @@ def sample_distance_matrix(
     """Pairwise iterated distances between `points` independent sample points.
 
     The empirical space (uniform measure on the samples, this matrix) is the
-    Monte Carlo stand-in for the level-n metric-measure space.  It is one
-    distance table of the points against themselves; entry [i, j] and [j, i]
-    both take the table's value for i < j.
+    Monte Carlo stand-in for the level-n metric-measure space.  It is the
+    distance table of the points against themselves, which is exactly
+    symmetric with a zero diagonal.
     """
     engine = WalkDistanceEngine(spec, n, m, leaf_cap)
     pts = [walk_point(spec, a, m) for a, _ in _pair_seeds(master_seed, points)]
-    table = engine.distance_table(pts, pts)
-    i, j = np.triu_indices(points, 1)
-    d = np.zeros((points, points))
-    d[i, j] = d[j, i] = table[i, j]
-    return d
+    return engine.distance_table(pts, pts)

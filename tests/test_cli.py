@@ -105,6 +105,19 @@ class TestConfigValidation:
             ("meeting-diagnostic", ("meeting", "cap"), 0),
             ("meeting-diagnostic", ("meeting", "c"), -1.0),
             ("meeting-diagnostic", ("meeting", "c"), 0),
+            ("orbit-entropy", ("orbit", "n_max"), 2.7),
+            ("standardness", ("walk", "pairs"), True),
+            ("standardness", ("walk", "n_max"), "3"),
+            ("ball-measure", ("walk", "levels"), [2, 2.5]),
+            ("ball-measure", ("walk", "epsilon"), True),
+            ("ball-measure", ("walk", "epsilon"), 10**400),
+            ("meeting-diagnostic", ("meeting", "c"), False),
+            ("standardness", ("group", "d"), 1.5),
+            ("standardness", ("group", "d"), True),
+            ("standardness", ("output", "basename"), ""),
+            ("standardness", ("output", "basename"), 3),
+            ("standardness", ("output", "basename"), "../probe"),
+            ("standardness", ("output", "basename"), "sub\\probe"),
         ],
         ids=[
             "standardness-m", "ball-m", "scaling-m", "ball-samples", "ball-levels", "scaling-levels",
@@ -112,6 +125,10 @@ class TestConfigValidation:
             "scaling-epsilon-0", "scaling-epsilon-1", "scaling-epsilons-scalar",
             "scaling-levels-scalar", "ball-levels-scalar", "orbit-r", "orbit-alphabet", "meeting-h",
             "meeting-pairs-text", "meeting-pairs", "meeting-cap", "meeting-c", "meeting-c-0",
+            "orbit-n-max-fraction", "standardness-pairs-bool", "standardness-n-max-text",
+            "ball-levels-fraction", "ball-epsilon-bool", "ball-epsilon-huge", "meeting-c-bool", "group-d-fraction",
+            "group-d-bool", "basename-empty", "basename-number", "basename-parent",
+            "basename-backslash",
         ],
     )
     def test_walk_size_out_of_range_exit_2(self, tmp_path, capsys, experiment, path, value):
@@ -129,6 +146,26 @@ class TestConfigValidation:
         }[experiment]()
         section, key = path
         cfg[section][key] = value
+        self.assert_config_error(tmp_path, capsys, cfg)
+        assert list(tmp_path.glob("probe.*")) == []
+
+    @pytest.mark.parametrize(
+        "experiment, key, value",
+        [
+            ("scaling-fit", "walk", [1]),
+            ("standardness", "output", "x"),
+            ("standardness", "seed", True),
+            ("standardness", "group", {"kind": "free", "s": 2.5}),
+            ("standardness", "group", {"kind": "free", "s": True}),
+        ],
+        ids=["walk-list", "output-text", "seed-bool", "group-s-fraction", "group-s-bool"],
+    )
+    def test_top_level_value_invalid_exit_2(self, tmp_path, capsys, experiment, key, value):
+        cfg = {
+            "standardness": small_standardness_config,
+            "scaling-fit": lambda: scaling_config("probe", {"kind": "lattice", "d": 1}, [1, 2], 8, 5, m=2),
+        }[experiment]()
+        cfg[key] = value
         self.assert_config_error(tmp_path, capsys, cfg)
 
     def test_group_dimension_zero_exit_2(self, tmp_path, capsys):

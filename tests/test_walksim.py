@@ -1,4 +1,7 @@
+import functools
 import itertools
+import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -206,15 +209,16 @@ class TestReadPlan:
 
 def per_pair_distance(engine, px, py):
     """Reference kernel: the distance of one pair from tables over that pair's
-    classes alone.  At each height a class is the rank of a subtree's sorted
+    classes alone.  At each height h a class is the rank of a subtree's sorted
     (child bit, child class) tuple among the pair's own tuples, and the height
-    is solved through the 2L x 2L extended table [[w, w + 1], [w + 1, w]]
-    indexed by (child bit, child class)."""
+    is solved through the 2L x 2L extended table [[w, w + u], [w + u, w]]
+    indexed by (child bit, child class), u = r^(h-1).  Tables hold the integer
+    numerators r^h * (distance * height), divided once at the end."""
     r, height = engine.r, engine.height
     bits = [engine.profile(px), engine.profile(py)]
     perms = [np.array(p) for p in itertools.permutations(range(r))]
     lanes = np.arange(r)
-    w = np.zeros((1, 1))
+    w = np.zeros((1, 1), dtype=np.int64)
     cls = [[0] * r**height, [0] * r**height]  # height 0: one class
     own = [[0], [0]]  # each point's sorted classes one height down
     for h in range(1, height + 1):
@@ -228,7 +232,8 @@ def per_pair_distance(engine, px, py):
         below = [{c: i for i, c in enumerate(o)} for o in own]
         own = [sorted(set(c)) for c in cls]
         lx, ly = w.shape
-        ext = np.block([[w, w + 1.0], [w + 1.0, w]])
+        u = r ** (h - 1)
+        ext = np.block([[w, w + u], [w + u, w]])
         rows_x = np.array([[bit * lx + below[0][c] for bit, c in ranked[k]] for k in own[0]])
         rows_y = np.array([[bit * ly + below[1][c] for bit, c in ranked[k]] for k in own[1]])
         gathered = ext[rows_x[:, None, :, None], rows_y[None, :, None, :]]
@@ -236,8 +241,8 @@ def per_pair_distance(engine, px, py):
         for perm in perms:
             cost = gathered[:, :, lanes, perm].sum(axis=2)
             best = cost if best is None else np.minimum(best, cost)
-        w = best / r
-    return float(w[0, 0]) / height
+        w = best
+    return int(w[0, 0]) / (r**height * height)
 
 
 TABLE_SPECS = [Z1, Z2, Z3, F2, F3, HEIS]
@@ -247,8 +252,6 @@ class TestDistanceTable:
     @pytest.mark.parametrize("m_of_n", [1, 2, None], ids=["m1", "m2", "mn"])
     @pytest.mark.parametrize("spec", TABLE_SPECS, ids=lambda s: s.describe())
     def test_bitwise_equal_to_per_pair_kernel(self, spec, m_of_n):
-        # r = 6 (Z3, F3): sums of six child costs are not dyadic, so only the
-        # same terms added in the same order give the same bits
         n = 3 if spec.alphabet_size > 4 else 4
         m = n if m_of_n is None else m_of_n
         engine = WalkDistanceEngine(spec, n, m)
@@ -295,8 +298,6 @@ class TestDistanceTable:
 
     @pytest.mark.parametrize("spec", [F3, Z3], ids=lambda s: s.describe())
     def test_pair_value_independent_of_history(self, spec):
-        # r = 6: a child order that followed the classes an engine saw first
-        # would change the sums' rounding (F3 pair (2, 18) by one ulp)
         pts = [walk_point(spec, a, 2) for a, _ in walksim._pair_seeds(0, 40)]
         engine = WalkDistanceEngine(spec, 2, 2)
         engine.distance_table(pts[::-1], pts[::-1])
@@ -305,17 +306,14 @@ class TestDistanceTable:
             fresh = WalkDistanceEngine(spec, 2, 2).distance(pts[i], pts[j])
             assert engine.distance(pts[i], pts[j]) == fresh, (i, j)
 
-    def test_distance_matrix_takes_upper_triangle(self):
-        # d[j, i] = d[i, j] = table[i, j] for i < j: rows stay the x points
+    def test_distance_matrix_equals_reference(self):
         n, m, points, seed = 3, 3, 9, 4
         d = sample_distance_matrix(F3, n, m, points=points, master_seed=seed)
         engine = WalkDistanceEngine(F3, n, m)
         pts = [walk_point(F3, a, m) for a, _ in walksim._pair_seeds(seed, points)]
-        for i in range(points):
-            assert d[i, i] == 0.0
-            for j in range(i + 1, points):
-                want = per_pair_distance(engine, pts[i], pts[j])
-                assert d[i, j] == want and d[j, i] == want
+        for i, j in itertools.product(range(points), repeat=2):
+            assert d[i, j] == per_pair_distance(engine, pts[i], pts[j]), (i, j)
+        assert np.all(np.diag(d) == 0.0)
 
 
 def left_to_right_permutation_minimum(c):
@@ -335,20 +333,16 @@ class TestMinMatching:
     @pytest.mark.parametrize("r", range(2, 8))
     def test_subset_dp_equals_permutation_minimum(self, r):
         rng = np.random.default_rng(50 + r)
-        # child costs as the engine makes them, w / r plus a 0/1 bit mismatch:
         # few distinct values, so ties are common, and none of them dyadic
         costs = rng.integers(0, 9, size=(r, r, 4, 5)) / (3.0 * r) + rng.integers(0, 2, size=(r, r, 4, 5))
         uniform = rng.random((r, r, 4, 5))
-        for c in (costs, uniform):
+        # int64 numerators as the engine makes them, here past 2^53, where a
+        # float sum would round: the minimum stays exact and int64
+        numerators = rng.integers(0, 9, size=(r, r, 4, 5)) + (1 << 58)
+        for c in (costs, uniform, numerators):
             want = left_to_right_permutation_minimum(c)
             got = walksim._min_matching(c)
-            assert got.shape == (4, 5) and got.tobytes() == want.tobytes()
-            # the permutation form numpy sums, as the r! loop did: lanes are
-            # added left to right below 8 terms
-            child = c.transpose(2, 3, 0, 1)
-            lanes = np.arange(r)
-            sums = [child[:, :, lanes, np.array(p)].sum(axis=2) for p in itertools.permutations(range(r))]
-            assert np.minimum.reduce(sums).tobytes() == want.tobytes()
+            assert got.dtype == c.dtype and got.shape == (4, 5) and got.tobytes() == want.tobytes()
 
 
 PAIR_SPECS = [Z1, Z2, F2, F3, HEIS]
@@ -453,7 +447,49 @@ class TestLeafObservations:
         assert np.all(blocks == blocks[:, :1])
 
 
+def exact_distance():
+    """The iterated distance from its definition, in exact rationals, between
+    two leaf systems of one shape: leaves labeled a and b lie Fraction(bits of
+    a ^ b, H) apart, and two subtrees the least mean distance over the r!
+    matchings of their children.  A subtree is the sorted tuple of its
+    children, and one memo serves every pair of subtrees across calls."""
+
+    @functools.cache
+    def between(a, b, height):
+        if isinstance(a, int):
+            return Fraction((a ^ b).bit_count(), height)
+        costs = [[between(ca, cb, height) for cb in b] for ca in a]
+        # the matching sums over one common denominator, as Python ints
+        den = math.lcm(*(c.denominator for row in costs for c in row))
+        nums = [[c.numerator * (den // c.denominator) for c in row] for row in costs]
+        sums = (sum(map(list.__getitem__, nums, p)) for p in itertools.permutations(range(len(a))))
+        return Fraction(min(sums), den * len(a))
+
+    def tree(system):
+        nodes = system.labels.tolist()
+        for r in system.radices[::-1]:
+            nodes = [tuple(sorted(nodes[k : k + r])) for k in range(0, len(nodes), r)]
+        return nodes[0]
+
+    def distance(x, y):
+        return between(tree(x), tree(y), x.base.size.bit_length() - 1)
+
+    return distance
+
+
 class TestEngineAgainstReference:
+    @pytest.mark.parametrize("spec", [Z3, F3], ids=lambda s: s.describe())
+    def test_equals_exact_definition(self, spec):
+        # r = 6: distances are not dyadic, so only an exact table rounded
+        # once gives the correctly rounded value; n = 3, m = 2 truncates
+        distance = exact_distance()
+        for n, m, points in ((2, 2, 6), (3, 2, 5), (3, 3, 5)):
+            engine = WalkDistanceEngine(spec, n, m)
+            pts = [walk_point(spec, a, m) for a, _ in walksim._pair_seeds(5, points)]
+            for px, py in itertools.combinations(pts, 2):
+                exact = distance(leaf_observations(px, spec, n), leaf_observations(py, spec, n))
+                assert engine.distance(px, py) == engine.distance(py, px) == float(exact), (n, m)
+
     @pytest.mark.parametrize("spec", [Z1, Z2, F2, HEIS], ids=lambda s: s.describe())
     def test_matches_tree_distance(self, spec):
         rng = np.random.default_rng(hash(spec.kind) % 2**31)
@@ -483,11 +519,15 @@ class TestEngineAgainstReference:
 
     def test_symmetric_exactly(self):
         rng = np.random.default_rng(7)
-        engine = WalkDistanceEngine(F2, 3, 3)
-        for _ in range(10):
-            px = walk_point(F2, int(rng.integers(1, 1 << 30)), 3)
-            py = walk_point(F2, int(rng.integers(1, 1 << 30)), 3)
-            assert engine.distance(px, py) == engine.distance(py, px)
+        for spec in (F2, F3, Z3):
+            engine = WalkDistanceEngine(spec, 3, 3)
+            for _ in range(10):
+                px = walk_point(spec, int(rng.integers(1, 1 << 30)), 3)
+                py = walk_point(spec, int(rng.integers(1, 1 << 30)), 3)
+                assert engine.distance(px, py) == engine.distance(py, px)
+            pts = [walk_point(spec, a, 3) for a, _ in walksim._pair_seeds(11, 12)]
+            table = engine.distance_table(pts, pts)
+            assert np.array_equal(table, table.T) and np.all(np.diag(table) == 0.0)
 
     def test_identity_matching_upper_bound(self):
         rng = np.random.default_rng(8)
