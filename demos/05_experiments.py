@@ -1,4 +1,4 @@
-"""Running experiments from JSON configs, with caching and comparison.
+"""Running experiments from JSON configs, and comparing their results.
 
 Everything the library computes is also reachable through `filtlab run
 <config.json>`: the config names the experiment, the group, the sampling

@@ -11,9 +11,6 @@ Five experiment kinds are wired to the library drivers:
 
 Every run is a pure function of (config, seed): outputs carry the config hash
 and seed in their headers, contain no timestamps, and are written atomically.
-Results are cached under the cache directory, named by the config hash and
-a sha256 of this package's source files, so any edit to the code makes every
-older entry miss; a cache hit replays the stored bytes.
 
 Exit codes: 0 success, 2 config error, 3 runtime error.
 """
@@ -22,7 +19,6 @@ from __future__ import annotations
 
 import argparse
 import csv
-import functools
 import hashlib
 import io
 import json
@@ -148,24 +144,6 @@ def config_hash(cfg: dict, seed: int) -> str:
     payload["seed"] = seed
     blob = json.dumps(payload, sort_keys=True, separators=(",", ":")).encode()
     return hashlib.sha256(blob).hexdigest()[:16]
-
-
-def _cache_key(digest: str) -> str:
-    """Cache file stem: the config hash folded with the code digest, so an
-    entry stored by other code never replays."""
-    return hashlib.sha256(f"{digest}:{_code_digest()}".encode()).hexdigest()[:16]
-
-
-@functools.lru_cache(maxsize=1)
-def _code_digest() -> str:
-    """sha256 over the name and bytes of each `*.py` file of this package,
-    in sorted name order."""
-    h = hashlib.sha256()
-    for path in sorted(Path(__file__).parent.glob("*.py")):
-        data = path.read_bytes()
-        h.update(f"{path.name}:{len(data)}:".encode())
-        h.update(data)
-    return h.hexdigest()
 
 
 # ---------------------------------------------------------------------------
@@ -342,7 +320,7 @@ def _atomic_write(path: Path, data: bytes):
     os.replace(tmp, path)
 
 
-def run_experiment(cfg: dict, out_dir: str, seed_override=None, threads: int = 1, cache_dir=None, verbose: bool = False) -> list:
+def run_experiment(cfg: dict, out_dir: str, seed_override=None, threads: int = 1) -> list:
     """Run one experiment and write its CSV and JSON; `threads` is accepted
     and ignored, every experiment runs serially."""
     seed = int(cfg["seed"]) if seed_override is None else int(seed_override)
@@ -354,18 +332,6 @@ def run_experiment(cfg: dict, out_dir: str, seed_override=None, threads: int = 1
     out.mkdir(parents=True, exist_ok=True)
     csv_path = out / f"{basename}.csv"
     json_path = out / f"{basename}.json"
-
-    if cache_dir:
-        key = _cache_key(digest)
-        cached_csv = Path(cache_dir) / f"{key}.csv"
-        cached_json = Path(cache_dir) / f"{key}.json"
-        if cached_csv.exists() and cached_json.exists():
-            if verbose:
-                print(f"cache hit {key}", file=sys.stderr)
-            _atomic_write(csv_path, cached_csv.read_bytes())
-            _atomic_write(json_path, cached_json.read_bytes())
-            return [csv_path, json_path]
-
     runner = _RUNNERS[cfg["experiment"]]
     rows, header, payload = runner(cfg, seed)
     meta = {"config_hash": digest, "seed": seed, "experiment": cfg["experiment"], "filtlab": __version__}
@@ -373,12 +339,6 @@ def run_experiment(cfg: dict, out_dir: str, seed_override=None, threads: int = 1
     json_bytes = _render_json(payload, meta)
     _atomic_write(csv_path, csv_bytes)
     _atomic_write(json_path, json_bytes)
-    if cache_dir:
-        Path(cache_dir).mkdir(parents=True, exist_ok=True)
-        _atomic_write(cached_csv, csv_bytes)
-        _atomic_write(cached_json, json_bytes)
-    if verbose:
-        print(f"wrote {csv_path} and {json_path}", file=sys.stderr)
     return [csv_path, json_path]
 
 
@@ -457,13 +417,10 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     run_p = sub.add_parser("run", help="run one experiment from a JSON config")
-    run_p.add_argument("config_path", nargs="?", help="path to the config file")
-    run_p.add_argument("--config", dest="config_flag", help="path to the config file")
+    run_p.add_argument("config_path", help="path to the config file")
     run_p.add_argument("--out-dir", default=".", help="directory for result files")
     run_p.add_argument("--seed", type=int, default=None, help="override the config seed")
     run_p.add_argument("--threads", type=int, default=1, help="accepted and ignored; runs are serial")
-    run_p.add_argument("--cache-dir", default=None, help="content-addressed result cache")
-    run_p.add_argument("--verbose", action="store_true")
 
     cmp_p = sub.add_parser("compare", help="compare result files sharing a schema")
     cmp_p.add_argument("files", nargs="+", help="result CSV files")
@@ -475,17 +432,11 @@ def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         if args.command == "run":
-            path = args.config_flag or args.config_path
-            if not path:
-                raise ConfigError("run needs a config path (positional or --config)")
-            cfg = load_config(path)
             run_experiment(
-                cfg,
+                load_config(args.config_path),
                 out_dir=args.out_dir,
                 seed_override=args.seed,
                 threads=args.threads,
-                cache_dir=args.cache_dir,
-                verbose=args.verbose,
             )
             return 0
         if args.command == "compare":

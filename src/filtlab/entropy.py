@@ -36,7 +36,7 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import DomainError, InsufficientDataError, SizeCapError, StructuralError
-from .mmspace import DiscreteMeasure, SemimetricMatrix, _entropy_bits, validate_semimetric
+from .mmspace import DiscreteMeasure, SemimetricMatrix, _entropy_bits, _sorted_sum, validate_semimetric
 from .transport import kantorovich
 
 STRICT_MARGIN = 1e-12
@@ -139,7 +139,9 @@ def _upper_bound(d, mu, budget, partitions) -> float:
     if np.min(single_costs) <= budget:
         return 0.0
 
-    # greedy merging: absorb the cheapest support atom into a neighbor, summing push costs
+    # greedy merging: absorb the cheapest support atom into a neighbor, summing
+    # push costs; that sum bounds the cost of the merged map only under the
+    # triangle inequality, which is not checked, so the map's cost must pass too
     assignment = np.arange(n)
     weights = w.copy()
     spent = 0.0
@@ -157,7 +159,7 @@ def _upper_bound(d, mu, budget, partitions) -> float:
         weights[dst_atom] += weights[src_atom]
         weights[src_atom] = 0.0
         assignment[assignment == src_atom] = dst_atom
-        if spent <= budget:
+        if spent <= budget and _sorted_sum(w * dd[np.arange(n), assignment]) <= budget:
             best = min(best, _entropy_bits(weights))
         else:
             borderline.append(assignment.copy())
@@ -168,7 +170,7 @@ def _upper_bound(d, mu, budget, partitions) -> float:
         if _sorted_sum(w * dd[np.arange(n), cells]) <= budget:
             best = min(best, _entropy_bits(_cell_masses(cells, w, n)))
 
-    # a merge over budget passes by its map's cost, fails by its floor, else by LP
+    # a merge not certified above passes by its map's cost, fails by its floor, else by LP
     for cells in borderline:
         lam = _cell_masses(cells, w, n)
         h = _entropy_bits(lam)
@@ -177,11 +179,6 @@ def _upper_bound(d, mu, budget, partitions) -> float:
                 and kantorovich(DiscreteMeasure(lam), mu, d)[0] <= budget)):
             best = h
     return best
-
-
-def _sorted_sum(terms: np.ndarray) -> float:
-    # sorted accumulation keeps a cost bit-identical under relabelings
-    return float(np.sum(np.sort(terms[terms > 0])))
 
 
 def _lower_bound(dd, w, epsilon, partitions) -> float:
@@ -291,8 +288,8 @@ def epsilon_entropy_oracle(
     p = np.sort(lams, axis=1)
     entropies = -np.sum(p * np.log2(np.where(p > 0, p, 1.0)), axis=1)
     weights = lams[int(np.argmin(entropies))]
-    # a one-atom quantization holds mu's total mass, which may round off 1
-    # (and 1 itself gives -0.0), so its entropy is set, not summed
+    # a one-atom quantization holds mu's total mass, which may round off 1,
+    # so its entropy is set, not summed
     value = _entropy_bits(weights) if np.count_nonzero(weights) > 1 else 0.0
     return OracleValue(value=value, grid_error=1e-9, weights=tuple(weights.tolist()))
 

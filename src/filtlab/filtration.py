@@ -28,6 +28,7 @@ from .mmspace import (
     Partition,
     PartitionChain,
     SemimetricMatrix,
+    _sorted_sum,
 )
 from .transport import _transport_support
 
@@ -119,10 +120,7 @@ def mean_distance(rho: SemimetricMatrix, mu: DiscreteMeasure) -> float:
         raise StructuralError("semimetric and measure sizes differ")
     w = mu.w
     idx = np.flatnonzero(w > 0)
-    terms = (np.outer(w[idx], w[idx]) * rho.d[np.ix_(idx, idx)]).ravel()
-    terms = terms[terms > 0]
-    # sorted accumulation: the value is bit-identical under atom relabelings
-    return float(np.sum(np.sort(terms))) if terms.size else 0.0
+    return _sorted_sum((np.outer(w[idx], w[idx]) * rho.d[np.ix_(idx, idx)]).ravel())
 
 
 @dataclass(frozen=True)

@@ -303,9 +303,16 @@ def block_masses(mu: DiscreteMeasure, xi: Partition) -> np.ndarray:
 
 
 def _entropy_bits(p: np.ndarray) -> float:
-    # sorted accumulation makes the value invariant under relabeling of atoms
+    # sorted accumulation makes the value invariant under relabeling of atoms;
+    # + 0.0 turns the -0.0 of a point mass into 0.0 and changes nothing else
     p = np.sort(p[p > 0])
-    return float(-np.sum(p * np.log2(p))) if p.size else 0.0
+    return float(-np.sum(p * np.log2(p)) + 0.0) if p.size else 0.0
+
+
+def _sorted_sum(terms: np.ndarray) -> float:
+    """Sum of the positive terms in ascending order, 0.0 if there are none:
+    the same bits under any relabeling of the atoms behind the terms."""
+    return float(np.sum(np.sort(terms[terms > 0])))
 
 
 def partition_entropy(mu: DiscreteMeasure, gamma: Partition) -> float:

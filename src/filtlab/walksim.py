@@ -31,9 +31,11 @@ matching, found by a subset DP.  Tables hold integer numerators: at height h
 an entry is r^h * height times the distance of its subtrees, so a child
 costs its entry one height down plus r^(h-1) if the child bits differ.  Sums
 are exact, so one final division gives the correctly rounded distance, that
-of the pair alone whatever else the call holds, and d(x, y) = d(y, x).  The
-generic recursive `treewalk.tree_distance` on the explicit leaf systems is
-the reference the engine is tested against.
+of the pair alone whatever else the call holds, and d(x, y) = d(y, x).  A
+numerator is at most H * r^H <= H * leaf_cap (H the height), far inside
+int64; the engine builds no 2^H x 2^H label matrix, so H has no cap of its
+own.  The generic recursive `treewalk.tree_distance` on the explicit leaf
+systems is the reference the engine is tested against.
 
 All Monte Carlo sampling is counter-based: any statistic is a pure function of
 (spec, parameters, master seed).
@@ -202,8 +204,6 @@ class WalkDistanceEngine:
             raise SizeCapError(
                 f"{self.r}^{self.height} materialized leaves exceed the cap {leaf_cap}"
             )
-        if self.height > MAX_LABEL_BITS:
-            raise SizeCapError(f"observation depth {self.height} exceeds {MAX_LABEL_BITS}")
         # (scenery, tail) -> bits read at least `height` deep; a run of engines
         # may share one dict, built deepest first, so each point is read once
         self._bit_lists: dict = {}

@@ -1,10 +1,11 @@
 import hashlib
 import json
+import math
+import re
 from pathlib import Path
 
 import pytest
 
-from filtlab import cli
 from filtlab.cli import compare_results, load_config, main, run_experiment
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "demos" / "configs"
@@ -363,41 +364,18 @@ class TestRun:
         run_experiment(load_config(str(path)), out_dir=str(tmp_path / "b"), seed_override=778)
         assert (tmp_path / "a" / "probe.csv").read_bytes() != (tmp_path / "b" / "probe.csv").read_bytes()
 
-    def test_cache_hit_replays_bytes(self, tmp_path):
-        path = write_config(tmp_path, small_standardness_config())
-        cfg = load_config(str(path))
-        cache = tmp_path / "cache"
-        run_experiment(cfg, out_dir=str(tmp_path / "a"), cache_dir=str(cache))
-        cached = list(cache.glob("*.csv"))
-        assert len(cached) == 1
-        # poison the cache to prove the hit path replays stored bytes
-        marker = b"# poisoned=1\n" + cached[0].read_bytes()
-        cached[0].write_bytes(marker)
-        run_experiment(cfg, out_dir=str(tmp_path / "b"), cache_dir=str(cache))
-        assert (tmp_path / "b" / "probe.csv").read_bytes() == marker
+    def test_run_takes_one_config_path_and_three_flags(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["run", "--help"])
+        assert exc.value.code == 0
+        assert set(re.findall(r"--[a-z-]+", capsys.readouterr().out)) == {
+            "--help", "--out-dir", "--seed", "--threads"
+        }
 
-    def test_cache_entry_of_other_version_misses(self, tmp_path, monkeypatch):
-        cfg = small_standardness_config()
-        cache = tmp_path / "cache"
-        # the entry stored by other code (another code digest) must not replay
-        with monkeypatch.context() as patch:
-            patch.setattr(cli, "_code_digest", lambda: "0" * 64)
-            run_experiment(cfg, out_dir=str(tmp_path / "old"), cache_dir=str(cache))
-        for stored in cache.iterdir():
-            stored.write_bytes(b"# poisoned=1\n" + stored.read_bytes())
-        run_experiment(cfg, out_dir=str(tmp_path / "new"), cache_dir=str(cache))
-        run_experiment(cfg, out_dir=str(tmp_path / "fresh"))
-        for name in ("probe.csv", "probe.json"):
-            assert (tmp_path / "new" / name).read_bytes() == (tmp_path / "fresh" / name).read_bytes()
-        assert len(list(cache.glob("*.csv"))) == 2
-
-    def test_run_without_cache_reads_no_code(self, tmp_path, monkeypatch):
-        def unread():
-            raise AssertionError("code digest computed without a cache")
-
-        monkeypatch.setattr(cli, "_code_digest", unread)
-        run_experiment(small_standardness_config(), out_dir=str(tmp_path))
-        assert (tmp_path / "probe.csv").exists()
+    def test_missing_config_path_exit_2(self):
+        with pytest.raises(SystemExit) as exc:
+            main(["run", "--out-dir", "."])
+        assert exc.value.code == 2
 
     def test_workers_do_not_change_bytes(self, tmp_path):
         path = write_config(tmp_path, small_standardness_config())
@@ -428,6 +406,22 @@ class TestRun:
         first = lines[1].split(",")
         assert first[0] == "1" and first[1] == "3"
         assert float(first[3]) == pytest.approx(0.75, abs=1e-12)
+
+    def test_orbit_entropy_of_one_letter_is_plus_zero(self, tmp_path):
+        cfg = {
+            "version": 1,
+            "experiment": "orbit-entropy",
+            "orbit": {"n_max": 3, "r": 2, "alphabet": 1},
+            "seed": 5,
+            "output": {"basename": "orbits"},
+        }
+        csv_path, json_path = run_experiment(cfg, out_dir=str(tmp_path))
+        rows = [l.split(",") for l in csv_path.read_text().splitlines() if not l.startswith("#")]
+        values = [float(v) for row in rows[1:] for v in row[2:]]
+        payload = json.loads(json_path.read_text())["result"]
+        values += payload["h_sequence"] + [payload["limit_estimate"]]
+        assert len(values) == 10
+        assert all(v == 0.0 and math.copysign(1.0, v) == 1.0 for v in values)
 
     def test_meeting_diagnostic_run(self, tmp_path):
         cfg = {

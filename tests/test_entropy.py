@@ -245,6 +245,30 @@ class TestUpperBoundCertificates:
                 verified += len(calls)
         assert verified > 0
 
+    def test_merge_within_its_push_costs_but_not_its_map_cost(self):
+        # no triangle inequality: the push costs of the two merges sum to
+        # 0.03, but their map sends everything to atom 2 at cost 0.11, and
+        # every one-atom quantization costs at least 0.09 > eps
+        d = SemimetricMatrix([[0, 0.1, 1], [0.1, 0, 0.1], [1, 0.1, 0]])
+        assert epsilon_entropy_bounds(d, DiscreteMeasure([0.1, 0.1, 0.8]), 0.05).upper > 0
+
+    def test_positive_without_a_single_atom_in_budget(self):
+        # random semimetrics that mostly break the triangle inequality
+        rng = np.random.default_rng(23)
+        checked = 0
+        for _ in range(300):
+            n = int(rng.integers(3, 8))
+            d = np.triu(rng.random((n, n)) ** 3, 1)
+            d = SemimetricMatrix(d + d.T)
+            w = rng.random(n) + 0.05
+            mu = DiscreteMeasure(w / w.sum())
+            single = min(map_cost(d.d, mu.w, np.full(n, z)) for z in range(n))
+            for eps in (0.02, 0.05, 0.1):
+                if single > entropy._strict_budget(d, eps):
+                    assert epsilon_entropy_bounds(d, mu, eps).upper > 0, (n, eps)
+                    checked += 1
+        assert checked > 400
+
 
 class TestOracle:
     def test_criterion7_prefix_pinned(self):

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -244,7 +246,8 @@ class TestPartitionEntropy:
         assert partition_entropy(DiscreteMeasure.uniform(4), Partition.singletons(4)) == 2.0
 
     def test_trivial_partition(self):
-        assert partition_entropy(DiscreteMeasure.uniform(4), Partition.trivial(4)) == 0.0
+        h = partition_entropy(DiscreteMeasure.uniform(4), Partition.trivial(4))
+        assert h == 0.0 and math.copysign(1.0, h) == 1.0  # +0.0, not -0.0
 
     def test_direct_formula(self):
         mu = DiscreteMeasure([0.25, 0.5, 0.25])

@@ -449,10 +449,11 @@ class TestLeafObservations:
 
 def exact_distance():
     """The iterated distance from its definition, in exact rationals, between
-    two leaf systems of one shape: leaves labeled a and b lie Fraction(bits of
-    a ^ b, H) apart, and two subtrees the least mean distance over the r!
-    matchings of their children.  A subtree is the sorted tuple of its
-    children, and one memo serves every pair of subtrees across calls."""
+    two r-ary trees of one shape given by their leaf labels in lexicographic
+    order: leaves labeled a and b lie Fraction(bits of a ^ b, H) apart, and
+    two subtrees the least mean distance over the r! matchings of their
+    children.  A subtree is the sorted tuple of its children, and one memo
+    serves every pair of subtrees across calls."""
 
     @functools.cache
     def between(a, b, height):
@@ -465,16 +466,27 @@ def exact_distance():
         sums = (sum(map(list.__getitem__, nums, p)) for p in itertools.permutations(range(len(a))))
         return Fraction(min(sums), den * len(a))
 
-    def tree(system):
-        nodes = system.labels.tolist()
-        for r in system.radices[::-1]:
+    def tree(labels, r):
+        nodes = list(labels)
+        while len(nodes) > 1:
             nodes = [tuple(sorted(nodes[k : k + r])) for k in range(0, len(nodes), r)]
         return nodes[0]
 
-    def distance(x, y):
-        return between(tree(x), tree(y), x.base.size.bit_length() - 1)
+    def distance(x, y, r, height):
+        """Between the trees whose leaves carry the `height`-bit labels x and y."""
+        return between(tree(x, r), tree(y, r), height)
 
     return distance
+
+
+def packed_labels(spec, point, height):
+    """Leaf labels at depth `height` packed from `_read_bits` as
+    `leaf_observations` packs them, without its 2^height x 2^height base."""
+    r = spec.alphabet_size
+    labels = np.zeros(r**height, dtype=np.int64)
+    for j, bits in enumerate(_read_bits(spec, point, height), start=1):
+        labels += np.repeat(bits.astype(np.int64), r ** (height - j)) << (height - j)
+    return labels.tolist()
 
 
 class TestEngineAgainstReference:
@@ -487,8 +499,22 @@ class TestEngineAgainstReference:
             engine = WalkDistanceEngine(spec, n, m)
             pts = [walk_point(spec, a, m) for a, _ in walksim._pair_seeds(5, points)]
             for px, py in itertools.combinations(pts, 2):
-                exact = distance(leaf_observations(px, spec, n), leaf_observations(py, spec, n))
+                x, y = (leaf_observations(p, spec, n).labels.tolist() for p in (px, py))
+                exact = distance(x, y, spec.alphabet_size, min(m, n))
                 assert engine.distance(px, py) == engine.distance(py, px) == float(exact), (n, m)
+
+    def test_height_past_the_label_matrix_cap(self):
+        # 2^13 leaves fit the default leaf cap; only hamming_base stops at 12 bits
+        distance = exact_distance()
+        engine = WalkDistanceEngine(Z1, 13, 13)
+        pts = [
+            WalkPoint(DictScenery(dict.fromkeys(ones, 1)), identity(Z1), 13)
+            for ones in ([(3,)], [(-2,), (5,)], [(-6,)], [(2,), (-3,)])
+        ]
+        for px, py in itertools.combinations(pts, 2):
+            exact = distance(packed_labels(Z1, px, 13), packed_labels(Z1, py, 13), 2, 13)
+            assert exact > 0
+            assert engine.distance(px, py) == float(exact)
 
     @pytest.mark.parametrize("spec", [Z1, Z2, F2, HEIS], ids=lambda s: s.describe())
     def test_matches_tree_distance(self, spec):
