@@ -72,6 +72,15 @@ def _cell_masses(cells: np.ndarray, w: np.ndarray, n_cells: int) -> np.ndarray:
     return np.bincount(cells[order], weights=w[order], minlength=n_cells)
 
 
+def _row_sums(p: np.ndarray, entropy: bool = False) -> np.ndarray:
+    """`_sorted_sum`, or with `entropy` `_entropy_bits`, of each row, bit for bit:
+    a sorted row's positive entries are its tail, summed as they are alone."""
+    p = np.sort(p, axis=1)
+    terms = p * -np.log2(np.where(p > 0, p, 1.0)) if entropy else p
+    skip = p.shape[1] - np.count_nonzero(p > 0, axis=1)
+    return np.array([row[k:].sum() for row, k in zip(terms, skip)]) + 0.0
+
+
 def epsilon_entropy_bounds(
     d: SemimetricMatrix,
     mu: DiscreteMeasure,
@@ -79,143 +88,129 @@ def epsilon_entropy_bounds(
 ) -> EntropyBounds:
     """Certified (lower, upper) bracket in bits for the epsilon-entropy.
 
-    Both bounds read one family of cell partitions, built once per call: the
-    farthest-point Voronoi ladder, whose k-th rung sends each atom to its
-    nearest of the first k centers.  The upper bound tries every rung but the
-    last as a quantization, next to greedy mass merging; the lower bound
-    maximizes the continuity floor over the zero-distance classes and
-    rungs 2..48.  That family does not depend on epsilon and each floor is
-    nonincreasing in epsilon, so the reported bounds are monotone on epsilon
-    grids.  A rung is certified by its own cost, which is also a floor on
-    its transport cost.  A greedy merge passes when the cost of its map is
-    within budget and fails when its floor (each atom moved to its nearest
-    atom of the support) is not; only in between does an exact transport
-    solve decide.  The identity quantization always passes.
+    Both bounds read one family of cell partitions: the farthest-point
+    Voronoi ladder, whose k-th rung sends each atom to its nearest of the
+    first k centers.  The upper bound tries every rung but the last as a
+    quantization, next to greedy mass merging; the lower bound maximizes the
+    continuity floor over the zero-distance classes and rungs 2..48.  That
+    family does not depend on epsilon and each floor is nonincreasing in
+    epsilon, so the reported bounds are monotone on epsilon grids.  A rung
+    is certified by its own cost, a floor on its transport cost.  Merges
+    are tried in order up to the 8th that their summed push costs and map
+    cost do not certify; such a merge passes when its map cost is within
+    budget and fails when its floor (each atom moved to its nearest atom of
+    the support) is not; only in between does an exact transport solve
+    decide.  The identity quantization always passes.  Everything but the
+    comparisons with the budget is built once per space and, like the
+    oracle's, cached for the most recent space, keyed by the bytes of `d.d`
+    and `mu.w`, so every epsilon of a sweep shares it.
     """
     if not epsilon > 0:
         raise DomainError("epsilon must be positive")
     if d.size != mu.size:
         raise StructuralError("semimetric and measure sizes differ")
-    ladder = _voronoi_ladder(d.d, mu.w)
-    upper = _upper_bound(d, mu, _strict_budget(d, epsilon), ladder[:-1])
-    lower = _lower_bound(d.d, mu.w, epsilon, ladder[1:48])
-    clamped = lower > upper
-    if clamped:
-        lower = upper
-    return EntropyBounds(lower=lower, upper=upper, epsilon=epsilon, clamped=clamped)
+    dd, w = d.d, mu.w
+    memo = _bracket_memo(dd.tobytes(), w.tobytes())
+    single, identity, (spent, mapped, merged, targets), (costs, rung_h), floors = memo
+    budget = _strict_budget(d, epsilon)
+    upper = 0.0
+    if single > budget:
+        certified = (spent <= budget) & (mapped <= budget)
+        borderline = np.flatnonzero(~certified)[:8]
+        tried = borderline[-1] if len(borderline) == 8 else len(certified)
+        passed = np.concatenate([merged[:tried][certified[:tried]], rung_h[costs <= budget]])
+        upper = float(np.min(passed, initial=identity))
+        for i in borderline:
+            lam = _cell_masses(targets[i], w, len(w))
+            h = _entropy_bits(lam)
+            if h < upper and (mapped[i] <= budget or (
+                    _sorted_sum(w * dd[:, lam > 0].min(axis=1)) <= budget
+                    and kantorovich(DiscreteMeasure(lam), mu, d)[0] <= budget)):
+                upper = h
+    # a transport of cost < eps moves at most tau = eps / gap of mass across cells;
+    # |H(p) - H(q)| <= tau log2(K - 1) + H2(tau) for tau <= 1 - 1/K, H2 capped
+    lower = 0.0
+    for gap, k_total, h_cells in floors:
+        tau = epsilon / gap
+        if tau <= 1 - 1.0 / k_total:
+            penalty = tau * math.log2(max(k_total - 1, 1)) + binary_entropy(min(tau, 0.5))
+            lower = max(lower, h_cells - penalty)
+    return EntropyBounds(lower=min(lower, upper), upper=upper, epsilon=epsilon, clamped=lower > upper)
 
 
-def _voronoi_ladder(dd, w) -> list[np.ndarray]:
-    """Each atom's nearest center among the first k farthest-point centers,
-    for k = 1 up to the number of live (positive-weight) atoms.
+@lru_cache(maxsize=1)
+def _bracket_memo(d_key: bytes, w_key: bytes) -> tuple:
+    """The epsilon-independent part of the bracket for the metric and weights
+    whose bytes are `d_key` and `w_key`, arrays read-only: the least cost of
+    moving all mass to one atom; the identity's entropy; the greedy merges
+    down to one atom as (summed push costs, map cost, merged entropy, map);
+    the rungs but the last as (cost, cell entropy); and (gap, cell count,
+    cell entropy) of each floor's partition whose live atoms span two cells
+    at a positive gap."""
+    w = np.frombuffer(w_key)
+    n = len(w)
+    dd = np.frombuffer(d_key).reshape(n, n)
+    single = float(np.min(np.sum(np.sort(dd[:, w > 0] * w[w > 0], axis=1), axis=1)))
+    ladder = _voronoi_ladder(dd, w)
+    partitions = np.vstack([_zero_distance_classes(dd), ladder])
+    keys = (partitions + n * np.arange(len(partitions))[:, None]).ravel()
+    masses = _cell_masses(keys, np.tile(w, len(partitions)), keys.size).reshape(-1, n)
+    entropies = _row_sums(masses, entropy=True)
+    sizes = np.count_nonzero(np.bincount(keys, minlength=keys.size).reshape(-1, n), axis=1)
+    floors = []
+    # row 1, rung 1, is one cell; the gap runs over ALL atoms and the continuity
+    # over all cells, since a quantization may sit mass on zero-measure atoms
+    for cells, m, k_total, h in zip(partitions[:49], masses, sizes, entropies):
+        if np.count_nonzero(m) > 1 and (gap := float(dd[cells[:, None] != cells].min())) > 0:
+            floors.append((gap, int(k_total), float(h)))
+    # each merge pushes the support atom whose mass is cheapest to move into
+    # another, the first in row-major order of move among ties; the summed push
+    # costs bound the map's cost only under the triangle inequality, unchecked
+    weights = w.copy()
+    move = np.where((weights[:, None] > 0) & (weights > 0), weights[:, None] * dd, np.inf)
+    np.fill_diagonal(move, np.inf)
+    steps = max(np.count_nonzero(weights) - 1, 0)
+    spent, after, targets = np.empty(steps), np.empty((steps, n)), np.empty((steps, n), dtype=np.intp)
+    assignment = np.arange(n)
+    total = 0.0
+    for step in range(steps):
+        src, dst = divmod(int(np.argmin(move)), n)
+        total += float(move[src, dst])
+        weights[dst] += weights[src]
+        weights[src] = 0.0
+        assignment[assignment == src] = dst
+        move[src] = move[:, src] = np.inf
+        move[dst] = np.where(weights > 0, weights[dst] * dd[dst], np.inf)
+        move[dst, dst] = np.inf
+        spent[step], after[step], targets[step] = total, weights, assignment
+    merges = (spent, _row_sums(w * dd[np.arange(n), targets]), _row_sums(after, entropy=True), targets)
+    rungs = (_row_sums(w * dd[np.arange(n), ladder[:-1]]), entropies[1:-1])
+    for array in (*merges, *rungs):
+        array.flags.writeable = False
+    return single, _entropy_bits(w), merges, rungs, tuple(floors)
 
-    The centers are the heaviest live atom, then each time the live atom
-    farthest from the centers so far, ties going to the heavier atom and
-    then the lower index.  A new center takes only the atoms it is strictly
-    closer to, so a tie keeps the earlier center.
-    """
-    live = np.flatnonzero(w > 0)
-    first = live[int(np.argmax(w[live]))]
+
+def _voronoi_ladder(dd, w) -> np.ndarray:
+    """Row k - 1 holds each atom's nearest center among the first k
+    farthest-point centers, k = 1 up to the number of live (positive-weight)
+    atoms.  The centers are the heaviest live atom, then each time the live
+    atom farthest from the centers so far, ties going to the heavier atom
+    and then the lower index.  A new center takes only the atoms it is
+    strictly closer to, so a tie keeps the earlier center."""
+    first = int(np.argmax(w))
     nearest = np.full(len(w), first)
     dist_to_set = dd[first]
-    remaining = set(live.tolist()) - {int(first)}
+    remaining = w > 0
+    remaining[first] = False
     ladder = [nearest]
-    while remaining:
-        idx = max(remaining, key=lambda i: (dist_to_set[i], w[i], -i))
-        remaining.discard(idx)
+    for _ in range(np.count_nonzero(remaining)):
+        far = np.where(remaining, dist_to_set, -1.0)
+        idx = int(np.argmax(np.where(far == far.max(), w, -1.0)))
+        remaining[idx] = False
         nearest = np.where(dd[idx] < dist_to_set, idx, nearest)
         dist_to_set = np.minimum(dist_to_set, dd[idx])
         ladder.append(nearest)
-    return ladder
-
-
-def _upper_bound(d, mu, budget, partitions) -> float:
-    dd, w = d.d, mu.w
-    n = len(w)
-    best = _entropy_bits(w)  # identity quantization is always feasible
-
-    # single atoms: transporting everything to z costs exactly sum_i w_i d(z, i)
-    single_costs = np.sum(np.sort(dd[:, w > 0] * w[w > 0], axis=1), axis=1)
-    if np.min(single_costs) <= budget:
-        return 0.0
-
-    # greedy merging: absorb the cheapest support atom into a neighbor, summing
-    # push costs; that sum bounds the cost of the merged map only under the
-    # triangle inequality, which is not checked, so the map's cost must pass too
-    assignment = np.arange(n)
-    weights = w.copy()
-    spent = 0.0
-    borderline: list[np.ndarray] = []
-    while len(borderline) < 8:
-        support = np.flatnonzero(weights > 0)
-        if support.size <= 1:
-            break
-        sub = dd[np.ix_(support, support)].copy()
-        np.fill_diagonal(sub, np.inf)
-        move_cost = weights[support, None] * sub
-        src, dst = np.unravel_index(int(np.argmin(move_cost)), move_cost.shape)
-        spent += float(move_cost[src, dst])
-        src_atom, dst_atom = support[src], support[dst]
-        weights[dst_atom] += weights[src_atom]
-        weights[src_atom] = 0.0
-        assignment[assignment == src_atom] = dst_atom
-        if spent <= budget and _sorted_sum(w * dd[np.arange(n), assignment]) <= budget:
-            best = min(best, _entropy_bits(weights))
-        else:
-            borderline.append(assignment.copy())
-
-    # Voronoi rungs; a zero-weight atom adds no cost and no mass to its cell,
-    # and each atom goes to its nearest center, so the cost is also the floor
-    for cells in partitions:
-        if _sorted_sum(w * dd[np.arange(n), cells]) <= budget:
-            best = min(best, _entropy_bits(_cell_masses(cells, w, n)))
-
-    # a merge not certified above passes by its map's cost, fails by its floor, else by LP
-    for cells in borderline:
-        lam = _cell_masses(cells, w, n)
-        h = _entropy_bits(lam)
-        if h < best and (_sorted_sum(w * dd[np.arange(n), cells]) <= budget or (
-                _sorted_sum(w * dd[:, lam > 0].min(axis=1)) <= budget
-                and kantorovich(DiscreteMeasure(lam), mu, d)[0] <= budget)):
-            best = h
-    return best
-
-
-def _lower_bound(dd, w, epsilon, partitions) -> float:
-    """Best certified floor over a fixed family of cell partitions.
-
-    For cells with pairwise inter-cell distance gap > 0, a transport of cost
-    < eps moves at most eps/gap of mass across cells, so the pushed marginals
-    of any feasible quantization are within that total variation of mu's; the
-    entropy-continuity inequality |H(p) - H(q)| <= tau log2(K-1) + H2(tau)
-    (valid for tau <= 1 - 1/K) then floors H(q).  The family is the
-    zero-distance-class partition plus the given Voronoi partitions, all
-    independent of epsilon, and each floor is nonincreasing in epsilon (H2 is
-    capped at its maximum), so the best floor is too.  A partition whose live
-    atoms share one cell gives no floor, so one live atom gives 0.
-    """
-    live = np.flatnonzero(w > 0)
-    best = 0.0
-    for cells in [_zero_distance_classes(dd), *partitions]:
-        if len(np.unique(cells[live])) <= 1:
-            continue
-        # the gap ranges over ALL atoms: a quantization may sit mass on
-        # zero-measure atoms, and crossing mass still has to travel it; two
-        # live cells make the set of crossing pairs nonempty
-        gap = float(dd[cells[:, None] != cells[None, :]].min())
-        if gap <= 0:
-            continue
-        # entropy continuity runs over the full cell alphabet, since a
-        # quantization may occupy cells that carry no mu-mass
-        k_total = len(np.unique(cells))
-        tau = epsilon / gap
-        if tau > 1 - 1.0 / k_total:
-            continue
-        masses = _cell_masses(cells[live], w[live], int(cells.max()) + 1)
-        h_cells = _entropy_bits(masses)
-        penalty = tau * math.log2(max(k_total - 1, 1)) + binary_entropy(min(tau, 0.5))
-        best = max(best, h_cells - penalty)
-    return max(best, 0.0)
+    return np.array(ladder)
 
 
 def _zero_distance_classes(dd) -> np.ndarray:
@@ -450,10 +445,13 @@ def scaling_exponent_fit(h_table: dict) -> ExponentFit:
     """Pooled log-log slope of H against n*log2(1/eps) over the grid.
 
     Entries with nonpositive H are excluded; fewer than 6 surviving points is
-    an error.  The slope estimates the polynomial growth exponent.
+    an error, and so is any entry outside 0 < eps < 1, n >= 1.  The slope
+    estimates the polynomial growth exponent.
     """
     xs, ys = [], []
     for (eps, n), h in h_table.items():
+        if not (0 < eps < 1 and n >= 1):
+            raise DomainError(f"entry (epsilon={eps!r}, n={n!r}) is outside 0 < epsilon < 1, n >= 1")
         if h > 0:
             xs.append(math.log2(n * math.log2(1.0 / eps)))
             ys.append(math.log2(h))
@@ -477,8 +475,10 @@ def exponential_growth_test(
     Fits log2 H against n; "exponential" requires slope > slope_threshold
     with R^2 > r2_threshold, and the linear-in-n model must explain the data
     at least as well as a power law (log2 H against log2 n), otherwise any
-    polynomial looks exponential on a short window.
+    polynomial looks exponential on a short window.  Levels start at 1.
     """
+    if not all(n >= 1 for n in h_by_level):
+        raise DomainError(f"levels must be at least 1, got {sorted(h_by_level)!r}")
     levels = sorted(n for n, h in h_by_level.items() if h > 0)
     if len(levels) < 5:
         raise InsufficientDataError("need at least 5 positive entropy values")

@@ -480,3 +480,15 @@ class TestCompare:
         other = tmp_path / "other.csv"
         other.write_text("x,y\n1,2\n")
         assert main(["compare", str(a), str(other)]) == 2
+
+    def test_epsilon_outside_the_fit_names_the_row(self, tmp_path, capsys):
+        # log2(n log2(1/eps)) is undefined at eps = 1; the error names the row
+        a = self._scaling_run(tmp_path, 1, 15, "dom")
+        lines = a.read_text().splitlines()
+        at = next(i for i, line in enumerate(lines) if not line.startswith("#"))
+        header, row = lines[at].split(","), lines[at + 1].split(",")
+        row[header.index("epsilon")] = "1.0"
+        lines[at + 1] = ",".join(row)
+        a.write_text("\n".join(lines) + "\n")
+        assert main(["compare", str(a)]) == 3
+        assert f"entry (epsilon=1.0, n={row[header.index('n')]})" in capsys.readouterr().err

@@ -38,6 +38,7 @@ def random_measure(rng, n):
 
 def clear_oracle_caches():
     entropy._vertex_memo.cache_clear()
+    entropy._bracket_memo.cache_clear()
 
 
 def tied_space(rng, n):
@@ -268,6 +269,93 @@ class TestUpperBoundCertificates:
                     assert epsilon_entropy_bounds(d, mu, eps).upper > 0, (n, eps)
                     checked += 1
         assert checked > 400
+
+
+class TestBracketMemo:
+    """The epsilon-independent half of the bracket is built once per space;
+    each epsilon only compares it with its budget."""
+
+    @staticmethod
+    def spaces():
+        rng = np.random.default_rng(29)
+        repro = SemimetricMatrix([[0, 0.1, 1], [0.1, 0, 0.1], [1, 0.1, 0]])
+        return [tied_space(rng, (1, 3, 6, 12, 24, 60)[i % 6]) for i in range(24)] + [
+            (repro, DiscreteMeasure([0.1, 0.1, 0.8]))]
+
+    def test_sweep_in_any_order_equals_cold_brackets(self):
+        rng = np.random.default_rng(30)
+        epsilons = [1e-14, 0.01, 0.02, 0.05, 0.1, 0.2, 0.3, 0.7, 3.0]
+        for d, mu in self.spaces():
+            order = rng.permutation(epsilons).tolist()
+            warm = [epsilon_entropy_bounds(d, mu, eps) for eps in order]
+            cold = []
+            for eps in order:
+                entropy._bracket_memo.cache_clear()
+                cold.append(epsilon_entropy_bounds(d, mu, eps))
+            assert repr(warm) == repr(cold)
+            assert entropy._bracket_memo.cache_info().currsize == 1
+
+    def test_merges_equal_the_reference_loop(self):
+        for d, mu in self.spaces():
+            _, _, (spent, mapped, _, targets), _, _ = entropy._bracket_memo(d.d.tobytes(), mu.w.tobytes())
+            reference = greedy_merges(d.d, mu.w)
+            assert spent.tolist() == [m[0] for m in reference]
+            assert [cells.tolist() for cells in targets] == [m[2].tolist() for m in reference]
+            assert mapped.tolist() == [map_cost(d.d, mu.w, m[2]) for m in reference]
+
+    def test_ladder_equals_the_reference_loop(self):
+        def reference(dd, w):
+            live = np.flatnonzero(w > 0)
+            first = live[int(np.argmax(w[live]))]
+            nearest = np.full(len(w), first)
+            dist_to_set = dd[first]
+            remaining = set(live.tolist()) - {int(first)}
+            ladder = [nearest]
+            while remaining:
+                idx = max(remaining, key=lambda i: (dist_to_set[i], w[i], -i))
+                remaining.discard(idx)
+                nearest = np.where(dd[idx] < dist_to_set, idx, nearest)
+                dist_to_set = np.minimum(dist_to_set, dd[idx])
+                ladder.append(nearest)
+            return ladder
+
+        for d, mu in self.spaces():
+            assert np.array_equal(entropy._voronoi_ladder(d.d, mu.w), reference(d.d, mu.w))
+
+    def test_row_sums_equal_the_per_row_helpers(self):
+        rng = np.random.default_rng(31)
+        for d, mu in self.spaces():
+            # ties and zeros: mu's weights, and random rows with repeated entries
+            rows = np.vstack([mu.w, rng.integers(0, 3, (4, d.size)) * rng.random(d.size)])
+            assert entropy._row_sums(rows).tolist() == [entropy._sorted_sum(r) for r in rows]
+            assert entropy._row_sums(rows, entropy=True).tolist() == [entropy._entropy_bits(r) for r in rows]
+
+    def test_memo_frees_the_previous_space(self):
+        first, second = self.spaces()[3:5]
+        clear_oracle_caches()
+        epsilon_entropy_bounds(*first, 0.1)
+        _, _, merges, rungs, _ = entropy._bracket_memo(first[0].d.tobytes(), first[1].w.tobytes())
+        held = [weakref.ref(array) for array in (*merges, *rungs)]
+        del merges, rungs
+        epsilon_entropy_bounds(*second, 0.1)
+        gc.collect()
+        assert entropy._bracket_memo.cache_info().currsize == 1
+        assert all(ref() is None for ref in held)
+
+    def test_cached_arrays_read_only(self):
+        d, mu = self.spaces()[4]
+        _, _, merges, rungs, _ = entropy._bracket_memo(d.d.tobytes(), mu.w.tobytes())
+        assert len(merges[0]) > 0 and len(rungs[0]) > 0
+        for array in (*merges, *rungs):
+            with pytest.raises(ValueError):
+                array[0] = 1
+
+    def test_clear_oracle_caches_clears_both_memos(self):
+        d, mu = simplex_metric(4), DiscreteMeasure.uniform(4)
+        epsilon_entropy_bounds(d, mu, 0.1)
+        epsilon_entropy_oracle(d, mu, 0.1)
+        clear_oracle_caches()
+        assert entropy._bracket_memo.cache_info().currsize == entropy._vertex_memo.cache_info().currsize == 0
 
 
 class TestOracle:
@@ -562,6 +650,14 @@ class TestScalingExponentFit:
         with pytest.raises(InsufficientDataError):
             scaling_exponent_fit({(0.1, 1): 0.0, (0.1, 2): 0.0})
 
+    @pytest.mark.parametrize("entry", [(1.0, 3), (0.0, 3), (1.5, 3), (math.nan, 3), (0.1, 0)])
+    def test_rejects_an_entry_outside_the_grid(self, entry):
+        # each would be the 7th point; log2(n log2(1/eps)) is undefined there
+        table = {(eps, n): 1.0 + n for eps in (0.1, 0.2) for n in (3, 4, 5)}
+        table[entry] = 2.0
+        with pytest.raises(DomainError, match=rf"entry \(epsilon={entry[0]!r}, n={entry[1]!r}\)"):
+            scaling_exponent_fit(table)
+
 
 class TestExponentialGrowthTest:
     def test_exponential(self):
@@ -576,3 +672,9 @@ class TestExponentialGrowthTest:
     def test_insufficient(self):
         with pytest.raises(InsufficientDataError):
             exponential_growth_test({1: 1.0, 2: 2.0})
+
+    def test_rejects_level_zero(self):
+        # log2 n = -inf at level 0 made the power-law R^2 NaN, and this
+        # exactly exponential table read subexponential
+        with pytest.raises(DomainError, match="at least 1"):
+            exponential_growth_test({0: 1.0, 1: 2.0, 2: 4.0, 3: 8.0, 4: 16.0})
