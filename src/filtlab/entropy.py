@@ -337,6 +337,8 @@ class ScalingFamily:
     table: dict = field(default_factory=dict)
 
     def evaluate(self, epsilon: float, n: int) -> float:
+        if not (0 < epsilon < 1 and n >= 1):
+            raise DomainError(f"(epsilon={epsilon!r}, n={n!r}) is outside 0 < epsilon < 1, n >= 1")
         if self.form == "power":
             return float((n * math.log2(1.0 / epsilon)) ** self.beta)
         if self.form == "exponential":

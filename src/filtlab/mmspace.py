@@ -111,6 +111,8 @@ class DiscreteMeasure:
 
     @classmethod
     def point_mass(cls, n: int, i: int) -> "DiscreteMeasure":
+        if not 0 <= i < n:
+            raise StructuralError(f"atom {i} is outside 0..{n - 1}")
         w = np.zeros(n)
         w[i] = 1.0
         return cls(w)

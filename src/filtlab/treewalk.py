@@ -62,6 +62,8 @@ class TreeLeafSystem:
 
     @classmethod
     def homogeneous(cls, r: int, n: int, labels, base: SemimetricMatrix) -> "TreeLeafSystem":
+        if n < 0:
+            raise StructuralError(f"tree height must be >= 0, got {n}")
         if n == 0:
             labels = np.atleast_1d(np.asarray(labels, dtype=int))
             if labels.shape != (1,):
@@ -251,11 +253,11 @@ def orbit_partition(
     partition together with its entropy under `word_measure`.
 
     Orbits are built by height over every subword of r^h leaves: a subword's
-    class is the rank of its sorted child classes, each child read off a
-    big-endian base-K digit of its index, K the subword count one height
-    down.  The height-n table classes the words themselves; block labels
-    rank orbits in lexicographic order of their sorted child classes.  Every
-    index and packed key stays below the word count, inside int64.
+    class is the rank (:func:`_rank_rows`) of its sorted child classes, each
+    child read off a big-endian base-K digit of its index, K the subword
+    count one height down.  The height-n table classes the words themselves;
+    block labels rank orbits in lexicographic order of their sorted child
+    classes.
     """
     if n < 0 or r < 2 or alphabet_size < 1:
         raise StructuralError("need n >= 0, r >= 2, alphabet_size >= 1")
@@ -276,11 +278,10 @@ def orbit_partition(
     _, table = np.unique(label_of, return_inverse=True)
     exponents = np.arange(r - 1, -1, -1, dtype=np.int64)
     for _ in range(n):
-        size, classes = len(table), int(table.max()) + 1
+        size = len(table)
         codes = np.arange(size**r, dtype=np.int64)
         children = np.sort(table[codes[:, None] // size**exponents % size], axis=1)
-        # classes**r <= size**r <= n_words, so the packed key fits int64
-        _, table = np.unique(children @ classes**exponents, return_inverse=True)
+        table = _rank_rows(children)[1]
     orbit_ids = table
 
     part = Partition(orbit_ids)
@@ -288,10 +289,23 @@ def orbit_partition(
     return OrbitPartition(partition=part, entropy_bits=entropy, orbit_count=part.n_blocks)
 
 
+def _rank_rows(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """First occurrences of the distinct rows of a 2-D array, in lexicographic
+    order, and each row's rank among them, as `np.unique` along axis 0 gives
+    them: a rank counts the row changes along a stable `np.lexsort`."""
+    order = np.lexsort(rows.T[::-1])
+    ordered = rows[order]
+    change = np.ones(len(rows), dtype=bool)
+    change[1:] = np.any(ordered[1:] != ordered[:-1], axis=1)
+    ranks = np.empty_like(order)
+    ranks[order] = np.cumsum(change) - 1
+    return order[change], ranks
+
+
 def iid_word_measure(alphabet_size: int, leaves: int, probs=None) -> DiscreteMeasure:
     """Product measure over words of length `leaves` (fair symbols by default)."""
-    if alphabet_size < 1:
-        raise StructuralError("alphabet_size must be >= 1")
+    if alphabet_size < 1 or leaves < 0:
+        raise StructuralError("need alphabet_size >= 1 and leaves >= 0")
     if probs is None:
         probs = np.full(alphabet_size, 1.0 / alphabet_size)
     probs = np.asarray(probs, dtype=float)
@@ -320,8 +334,8 @@ def exponential_entropy_estimate(entropies, radices) -> ExponentialEntropyEstima
     """
     entropies = np.asarray(entropies, dtype=float)
     radices = tuple(int(r) for r in radices)
-    if len(radices) != entropies.shape[0]:
-        raise StructuralError("need one radix per entropy value")
+    if len(radices) != entropies.shape[0] or min(radices, default=2) < 2:
+        raise StructuralError("need one radix of at least 2 per entropy value")
     scale = np.cumprod(radices)
     h = entropies / scale
     if h.size > 1 and float(np.max(np.diff(h))) > 1e-9:

@@ -25,17 +25,18 @@ table is one block, a pair a 1 x 1 block, and pairs are batched into calls
 of at most `_GATHER_BUDGET` leaves.  The engine keeps only the bits it has
 read.  Per height a call ranks the subtrees of all its points at once, a
 class being the rank of a sorted (child bit, child class) row among the rows
-present (as in `treewalk.orbit_partition`), then solves every block's table
-over (x class, y class) in one padded array.  An entry is the cheapest child
-matching, found by a subset DP.  Tables hold integer numerators: at height h
-an entry is r^h * height times the distance of its subtrees, so a child
-costs its entry one height down plus r^(h-1) if the child bits differ.  Sums
-are exact, so one final division gives the correctly rounded distance, that
-of the pair alone whatever else the call holds, and d(x, y) = d(y, x).  A
-numerator is at most H * r^H <= H * leaf_cap (H the height), far inside
-int64; the engine builds no 2^H x 2^H label matrix, so H has no cap of its
-own.  The generic recursive `treewalk.tree_distance` on the explicit leaf
-systems is the reference the engine is tested against.
+present (`treewalk._rank_rows`, shared with `treewalk.orbit_partition`),
+then solves every block's table over (x class, y class) in one padded
+array.  An entry is the cheapest child matching, found by a subset DP.
+Tables hold integer numerators: at height h an entry is r^h * height times
+the distance of its subtrees, so a child costs its entry one height down
+plus r^(h-1) if the child bits differ.  Sums are exact, so one final
+division gives the correctly rounded distance, that of the pair alone
+whatever else the call holds, and d(x, y) = d(y, x).  A numerator is at
+most H * r^H <= H * leaf_cap (H the height), far inside int64; the engine
+builds no 2^H x 2^H label matrix, so H has no cap of its own.  The generic
+recursive `treewalk.tree_distance` on the explicit leaf systems is the
+reference the engine is tested against.
 
 All Monte Carlo sampling is counter-based: any statistic is a pure function of
 (spec, parameters, master seed).
@@ -53,7 +54,7 @@ from .errors import SizeCapError, StructuralError
 from .filtration import cylinder_hamming
 from .groups import GroupElement, GroupSpec, Scenery, _free_levels, _philox, identity, step_rows
 from .mmspace import SemimetricMatrix
-from .treewalk import TreeLeafSystem
+from .treewalk import TreeLeafSystem, _rank_rows
 
 DEFAULT_LEAF_CAP = 1 << 14
 MAX_LABEL_BITS = 12  # the base matrix is 2^H x 2^H; beyond this it stops being "desk scale"
@@ -115,13 +116,13 @@ def _read_plan(spec: GroupSpec, tail: tuple, depth: int):
     sizes, a read-only index of each row's distinct element, and the distinct
     normal forms with their `norm_key` bytes.  All r^j positions of level j
     are stepped at once as int64 rows (children of row i are rows
-    i*r .. i*r + r-1), each keyed by one int64."""
+    i*r .. i*r + r-1), and equal rows are one element."""
     if spec.kind == "free":
         levels, elements = _free_levels(spec, tail, depth)
     else:
         levels, elements = _additive_levels(spec, tail, depth)
     rows = np.concatenate(levels)
-    _, first, inverse = np.unique(_row_keys(rows), return_index=True, return_inverse=True)
+    first, inverse = _rank_rows(rows)
     inverse.flags.writeable = False
     distinct = tuple(elements(rows[first]))
     keys = tuple(GroupElement(spec, data).norm_key() for data in distinct)
@@ -141,29 +142,6 @@ def _additive_levels(spec: GroupSpec, tail: tuple, depth: int):
         cur = step_rows(spec, np.repeat(cur, len(symbols), axis=0), np.tile(symbols, len(cur)))
         levels.append(cur)
     return levels, lambda rows: map(tuple, rows.tolist())
-
-
-def _row_keys(rows: np.ndarray) -> np.ndarray:
-    """One int64 per row, equal exactly when the rows are equal, and ordered
-    as the rows are lexicographically.
-
-    Columns are packed in mixed radix over their ranges; a partial key or a
-    column whose range would overflow is first replaced by its ranks.
-    """
-    key = np.zeros(len(rows), dtype=np.int64)
-    size = 1
-    for col in rows.T:
-        col = col - col.min()
-        span = int(col.max()) + 1
-        if size * span >= 1 << 62:
-            key = np.unique(key, return_inverse=True)[1]
-            size = int(key.max()) + 1
-        if size * span >= 1 << 62:
-            col = np.unique(col, return_inverse=True)[1]
-            span = int(col.max()) + 1
-        key = key * span + col
-        size *= span
-    return key
 
 
 def leaf_observations(
@@ -262,9 +240,8 @@ class WalkDistanceEngine:
             else:
                 big = int(cls.max()) + 1
                 key = np.sort((level.astype(np.int64) * big + cls).reshape(-1, r), axis=1)
-                # _row_keys keeps the lexicographic row order, so classes are
-                # numbered in the order of the sorted rows themselves
-                _, first, cls = np.unique(_row_keys(key), return_index=True, return_inverse=True)
+                # classes are numbered in the lexicographic order of the rows
+                first, cls = _rank_rows(key)
                 rows = key[first]
             defs = np.empty((len(rows), 2 * r), dtype=np.int64)
             defs[:, 0::2], defs[:, 1::2] = np.divmod(rows, big)
@@ -414,8 +391,8 @@ def mean_distance_profile(
 
 def wilson_interval(successes: int, trials: int, z: float = 1.96) -> tuple[float, float]:
     """95% (by default) Wilson score interval for a binomial fraction."""
-    if trials <= 0:
-        raise StructuralError("need at least one trial")
+    if not 0 <= successes <= trials or trials <= 0:
+        raise StructuralError(f"need 0 <= successes <= trials and trials >= 1, got {successes}, {trials}")
     phat = successes / trials
     denom = 1 + z**2 / trials
     center = (phat + z**2 / (2 * trials)) / denom

@@ -562,6 +562,13 @@ class TestScalingFamily:
         fam = ScalingFamily(form="exponential", radices=(2, 2, 3))
         assert fam.evaluate(0.1, 3) == 12.0
 
+    @pytest.mark.parametrize("form", ["power", "exponential", "table"])
+    @pytest.mark.parametrize("epsilon, n", [(2.0, 3), (1.0, 3), (0.0, 3), (-0.5, 3), (0.25, 0)])
+    def test_evaluate_outside_domain_raises(self, form, epsilon, n):
+        fam = ScalingFamily(form=form, beta=1.5, radices=(2, 2, 2), table={(epsilon, n): 1.0})
+        with pytest.raises(DomainError, match=rf"\(epsilon={epsilon!r}, n={n!r}\)"):
+            fam.evaluate(epsilon, n)
+
     def test_grid_validation(self):
         fam = ScalingFamily(form="power", beta=1.0)
         assert fam.validate_on_grid([0.1, 0.2, 0.3], [1, 2, 3, 4])

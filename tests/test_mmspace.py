@@ -170,6 +170,11 @@ class TestTypes:
         with pytest.raises(StructuralError):
             DiscreteMeasure.uniform(n)
 
+    @pytest.mark.parametrize("n, i", [(3, 5), (3, 3), (3, -1), (0, 0)])
+    def test_point_mass_rejects_atom_outside(self, n, i):
+        with pytest.raises(StructuralError, match="atom"):
+            DiscreteMeasure.point_mass(n, i)
+
     @pytest.mark.parametrize("labels", [[0.5, 1.7], [0.0, 1.5], [0.0, np.nan], [0.0, np.inf]])
     def test_partition_rejects_non_integral_labels(self, labels):
         with pytest.raises(StructuralError):

@@ -89,6 +89,10 @@ class TestTreeDistance:
             y = TreeLeafSystem(radices, rng.integers(0, 3, 6), base)
             assert tree_distance(x, y) == pytest.approx(tree_distance_bruteforce(x, y), abs=1e-12)
 
+    def test_negative_height_rejected(self):
+        with pytest.raises(StructuralError, match="height"):
+            TreeLeafSystem.homogeneous(2, -1, [1], discrete_base(2))
+
     def test_bruteforce_size_guard(self):
         base = discrete_base(2)
         x = TreeLeafSystem.homogeneous(2, 5, np.zeros(32, dtype=int), base)
@@ -149,6 +153,10 @@ class TestOrbitPartition:
     def test_empty_alphabet_rejected(self):
         with pytest.raises(StructuralError):
             iid_word_measure(0, 4)
+
+    def test_negative_leaf_count_rejected(self):
+        with pytest.raises(StructuralError, match="leaves"):
+            iid_word_measure(2, -2)
 
     def test_n2_matches_bruteforce_enumeration(self):
         # enumerate orbits of the 8-element automorphism group on 16 words
@@ -256,6 +264,11 @@ class TestExponentialEntropy:
         est = exponential_entropy_estimate(entropies, [2] * 4)
         assert np.all(np.diff(est.h) <= 1e-9)
         assert est.h[0] == pytest.approx(0.75, abs=1e-12)
+
+    @pytest.mark.parametrize("radices", [[2, 0], [1, 2], [2, -2]])
+    def test_radix_below_two_rejected(self, radices):
+        with pytest.raises(StructuralError, match="radix"):
+            exponential_entropy_estimate([1.0, 0.5], radices)
 
     def test_increasing_sequence_rejected(self):
         with pytest.raises(RuntimeError):

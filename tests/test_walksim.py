@@ -20,12 +20,11 @@ from filtlab.groups import (
     symbol_element,
 )
 from filtlab.mmspace import DiscreteMeasure, Partition, PartitionChain, SemimetricMatrix
-from filtlab.treewalk import tree_distance
+from filtlab.treewalk import _rank_rows, tree_distance
 from filtlab.walksim import (
     WalkDistanceEngine,
     WalkPoint,
     _read_bits,
-    _row_keys,
     ball_measure_estimate,
     ball_measure_profile,
     hamming_base,
@@ -121,8 +120,8 @@ class TestArrayReader:
                     assert g.dtype == np.uint8
                     assert np.array_equal(g, w)
 
-    def test_row_keys_follow_lexicographic_row_order(self):
-        # classing relies on the keys sorting rows as np.unique(axis=0) does
+    def test_rank_rows_matches_unique_along_rows(self):
+        # classing relies on ranks numbering rows as np.unique(axis=0) does
         rng = np.random.default_rng(5)
         big = 1 << 32
         for rows in (
@@ -130,15 +129,16 @@ class TestArrayReader:
             # wrapping arithmetic would give (1, 0, 0) and (0, 1, 2^32) one key
             np.array([[1, 0, 0], [0, 1, big], [0, big, 0], [1, 0, 0]]),
             rng.integers(0, 1 << 40, size=(50, 3)),
-            # a column spanning 2^62 or more is packed by its ranks
+            # columns spanning 2^62 or more
             np.array([[1, 0, 2], [0, 1 << 62, 1], [0, (1 << 62) + 3, 0], [1, 0, 2], [0, 7, 1]]),
             np.column_stack(
                 [rng.integers(0, 3, 60), rng.integers(-(1 << 62), 1 << 62, 60), rng.integers(0, 3, 60)]
             ),
         ):
-            keys = _row_keys(rows)
-            _, first = np.unique(keys, return_index=True)
-            assert np.array_equal(rows[first], np.unique(rows, axis=0))
+            first, ranks = _rank_rows(rows)
+            _, want_first, want_ranks = np.unique(rows, axis=0, return_index=True, return_inverse=True)
+            assert np.array_equal(first, want_first)
+            assert np.array_equal(ranks, want_ranks.ravel())
 
     def test_far_tail_refused(self):
         far = GroupElement(HEIS, (1 << 40, 0, 0))
@@ -691,6 +691,11 @@ class TestMonteCarloDrivers:
         assert lo < 0.5 < hi
         assert wilson_interval(0, 100)[0] == 0.0
         assert wilson_interval(100, 100)[1] == pytest.approx(1.0, abs=1e-12)
+
+    @pytest.mark.parametrize("successes, trials", [(5, 3), (-1, 3)])
+    def test_wilson_interval_rejects_successes_outside_trials(self, successes, trials):
+        with pytest.raises(StructuralError, match="successes"):
+            wilson_interval(successes, trials)
 
     def test_mean_profile_nonincreasing_z1(self):
         estimates = mean_distance_profile(Z1, n_max=4, pairs=60, master_seed=123)
