@@ -24,7 +24,6 @@ from .errors import (
     InsufficientDataError,
     SizeCapError,
     StructuralError,
-    UnsupportedGroupError,
 )
 from .filtration import (
     LevelSemimetric,
@@ -41,16 +40,12 @@ from .groups import (
     GroupSpec,
     MeetingResult,
     Scenery,
-    generator,
     identity,
     inverse,
     meeting_diagnostic,
     multiply,
     sample_increments,
-    string_to_symbols,
     symbol_element,
-    symbols_to_string,
-    weighted_rank,
     word_norm,
     word_norm_bounds,
 )
@@ -60,9 +55,7 @@ from .mmspace import (
     PartitionChain,
     SemimetricMatrix,
     block_masses,
-    conditional_measure,
     partition_entropy,
-    partition_rokhlin_distance,
     validate_semimetric,
 )
 from .transport import Coupling, kantorovich, kantorovich_bruteforce

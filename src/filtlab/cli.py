@@ -64,7 +64,7 @@ def load_config(path: str) -> dict:
         raise ConfigError(f"{path}:{exc.lineno}:{exc.colno}: malformed JSON: {exc.msg}") from exc
     if not isinstance(cfg, dict):
         raise ConfigError(f"{path}: config must be a JSON object")
-    if cfg.get("version") != 1:
+    if cfg.get("version") != 1 or type(cfg["version"]) is not int:  # nor true, nor 1.0
         raise ConfigError(f"{path}: unsupported config version {cfg.get('version')!r}")
     kind = cfg.get("experiment")
     if kind not in EXPERIMENTS:
@@ -263,14 +263,15 @@ def _run_meeting_diagnostic(cfg, seed):
     sec = _section(cfg, "meeting", ["pairs", "h", "c"])
     pairs, h = _positive(sec, "meeting", "pairs"), _positive(sec, "meeting", "h")
     c = _positive_real(sec, "meeting", "c")
-    cap = _positive(sec, "meeting", "cap") if "cap" in sec else h**5
+    # the diagnostic reads at most h^5 steps of each walk, so only those are drawn
+    steps = min(h**5, _positive(sec, "meeting", "cap")) if "cap" in sec else h**5
     header = ["pair", "found", "n", "norm_bound_u", "norm_bound_v", "uncertain_skips"]
     rows = []
     found = 0
     for i in range(pairs):
-        u = sample_increments(spec, cap, seed, stream=2 * i)
-        v = sample_increments(spec, cap, seed, stream=2 * i + 1)
-        res = meeting_diagnostic(spec, u, v, h, c, cap=cap)
+        u = sample_increments(spec, steps, seed, stream=2 * i)
+        v = sample_increments(spec, steps, seed, stream=2 * i + 1)
+        res = meeting_diagnostic(spec, u, v, h, c)
         found += int(res.found)
         rows.append(
             [

@@ -30,7 +30,7 @@ exponential versus subexponential growth.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
@@ -331,48 +331,22 @@ def _strict_budget(d: SemimetricMatrix, epsilon: float) -> float:
 class ScalingFamily:
     """A scaling function c(eps, n): power law or exponential (radix product)."""
 
-    form: str  # "power" | "exponential" | "table"
+    form: str  # "power" | "exponential"
     beta: float = 0.0
     radices: tuple = ()
-    table: dict = field(default_factory=dict)
+
+    def __post_init__(self):
+        if self.form not in ("power", "exponential"):
+            raise StructuralError(f"unknown scaling form {self.form!r}; use 'power' or 'exponential'")
 
     def evaluate(self, epsilon: float, n: int) -> float:
         if not (0 < epsilon < 1 and n >= 1):
             raise DomainError(f"(epsilon={epsilon!r}, n={n!r}) is outside 0 < epsilon < 1, n >= 1")
         if self.form == "power":
             return float((n * math.log2(1.0 / epsilon)) ** self.beta)
-        if self.form == "exponential":
-            if n > len(self.radices):
-                raise StructuralError(f"no radix recorded for level {n}")
-            return float(np.prod(self.radices[:n]))
-        value = self.table.get((epsilon, n))
-        if value is None:
-            raise StructuralError(f"scaling table has no entry for ({epsilon}, {n})")
-        return float(value)
-
-    def validate_on_grid(self, epsilons, levels) -> bool:
-        """Increasing in n for fixed eps, nonincreasing in eps for fixed n."""
-        epsilons = sorted(epsilons)
-        levels = sorted(levels)
-        for eps in epsilons:
-            values = [self.evaluate(eps, n) for n in levels]
-            if any(b <= a for a, b in zip(values, values[1:])):
-                return False
-        for n in levels:
-            values = [self.evaluate(eps, n) for eps in epsilons]
-            if any(b > a + 1e-12 for a, b in zip(values, values[1:])):
-                return False
-        return True
-
-    def strictly_equivalent(
-        self, other: "ScalingFamily", epsilons, levels, tol: float = 0.05
-    ) -> bool:
-        """Finite surrogate of strict equivalence: at the smallest eps, the
-        ratio over the top quartile of n stays within tol of 1."""
-        eps = min(epsilons)
-        top = _top_quartile(sorted(levels))
-        ratios = [self.evaluate(eps, n) / other.evaluate(eps, n) for n in top]
-        return all(abs(r - 1.0) <= tol for r in ratios)
+        if n > len(self.radices):
+            raise StructuralError(f"no radix recorded for level {n}")
+        return float(np.prod(self.radices[:n]))
 
 
 def _top_quartile(levels: list) -> list:
@@ -469,13 +443,15 @@ class GrowthVerdict:
     r_squared: float
 
 
-def exponential_growth_test(
-    h_by_level: dict, slope_threshold: float = 0.1, r2_threshold: float = 0.9
-) -> GrowthVerdict:
+GROWTH_SLOPE_MIN = 0.1  # log2 H per level
+GROWTH_R2_MIN = 0.9
+
+
+def exponential_growth_test(h_by_level: dict) -> GrowthVerdict:
     """Classify entropy growth in n: exponential iff log2 H grows linearly.
 
-    Fits log2 H against n; "exponential" requires slope > slope_threshold
-    with R^2 > r2_threshold, and the linear-in-n model must explain the data
+    Fits log2 H against n; "exponential" requires slope > GROWTH_SLOPE_MIN
+    with R^2 > GROWTH_R2_MIN, and the linear-in-n model must explain the data
     at least as well as a power law (log2 H against log2 n), otherwise any
     polynomial looks exponential on a short window.  Levels start at 1.
     """
@@ -489,8 +465,8 @@ def exponential_growth_test(
     fit = _ols(x, y)
     poly_fit = _ols(np.log2(x), y)
     if (
-        fit.beta_hat > slope_threshold
-        and fit.r_squared > r2_threshold
+        fit.beta_hat > GROWTH_SLOPE_MIN
+        and fit.r_squared > GROWTH_R2_MIN
         and fit.r_squared >= poly_fit.r_squared
     ):
         return GrowthVerdict(verdict="exponential", rate=fit.beta_hat, r_squared=fit.r_squared)

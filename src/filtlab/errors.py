@@ -10,7 +10,7 @@ class StructuralError(FiltlabError):
 
 
 class DegenerateBlockError(FiltlabError):
-    """A conditional measure was requested on a block of zero mass."""
+    """A point pair touches a zero-mass block (`LevelSemimetric.point_distance`)."""
 
 
 class SizeCapError(FiltlabError):
@@ -24,6 +24,3 @@ class DomainError(FiltlabError):
 class InsufficientDataError(FiltlabError):
     """Not enough valid data points remain for a fit or estimate."""
 
-
-class UnsupportedGroupError(FiltlabError):
-    """The requested operation is undefined for this group kind."""

@@ -58,9 +58,6 @@ class LevelSemimetric:
         lab = self.partition.block_of
         return self.matrix.d[np.ix_(lab, lab)]
 
-    def quotient_measure(self) -> DiscreteMeasure:
-        return DiscreteMeasure(self.block_mass)
-
 
 def iterate_semimetric(
     rho0: SemimetricMatrix,

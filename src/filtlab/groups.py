@@ -33,7 +33,7 @@ import numpy as np
 # loaded with filtlab: numpy would load it lazily inside the first _philox call
 import numpy.random  # noqa: F401
 
-from .errors import SizeCapError, StructuralError, UnsupportedGroupError
+from .errors import SizeCapError, StructuralError
 
 HEISENBERG_EXACT_NORM_CAP = 20
 
@@ -118,14 +118,6 @@ def _generator_rows(spec: GroupSpec) -> np.ndarray:
     else:
         gens = np.eye(spec.n_generators, len(identity(spec).data), dtype=np.int64)
     return np.concatenate([gens, -gens])
-
-
-def generator(spec: GroupSpec, i: int, inverse: bool = False) -> GroupElement:
-    """The i-th generator (0-based) or its inverse."""
-    s = spec.n_generators
-    if not (0 <= i < s):
-        raise StructuralError(f"generator index {i} out of range for {spec.describe()}")
-    return symbol_element(spec, i + s * inverse)
 
 
 def symbol_element(spec: GroupSpec, symbol: int) -> GroupElement:
@@ -368,21 +360,6 @@ def word_norm(a: GroupElement) -> int:
     )
 
 
-def weighted_rank(spec: GroupSpec) -> int:
-    """Scaling dimension d(G): lattice rank, or 4 for the Heisenberg group.
-
-    Sum of i * (rank growth) over the lower central series quotients; the
-    free group grows exponentially and has no polynomial scaling, so it is
-    refused.
-    """
-    if spec.kind == "lattice":
-        return spec.d
-    if spec.kind == "heisenberg":
-        # series ranks (2, 3): 1*(2-0) + 2*(3-2)
-        return 4
-    raise UnsupportedGroupError("free groups have exponential scaling, no weighted rank")
-
-
 # ---------------------------------------------------------------------------
 # Walk increments and sceneries
 # ---------------------------------------------------------------------------
@@ -400,34 +377,6 @@ def sample_increments(spec: GroupSpec, n: int, seed: int, stream: int = 0) -> np
         raise StructuralError("length must be nonnegative")
     gen = _philox(seed, stream)
     return gen.integers(0, spec.alphabet_size, size=n, dtype=np.int64)
-
-
-def symbols_to_string(spec: GroupSpec, symbols) -> str:
-    """Dump increments as a readable word: g1 g2 ... for generators, G1 G2 ...
-    for their inverses."""
-    s = spec.n_generators
-    parts = []
-    for sym in symbols:
-        sym = int(sym)
-        if not (0 <= sym < 2 * s):
-            raise StructuralError(f"symbol {sym} outside alphabet of size {2 * s}")
-        name = f"g{sym % s + 1}"
-        parts.append(name.upper() if sym >= s else name)
-    return " ".join(parts)
-
-
-def string_to_symbols(spec: GroupSpec, text: str) -> np.ndarray:
-    """Inverse of :func:`symbols_to_string`."""
-    s = spec.n_generators
-    out = []
-    for token in text.split():
-        if len(token) < 2 or token[0] not in "gG":
-            raise StructuralError(f"bad symbol token {token!r}")
-        idx = int(token[1:]) - 1
-        if not (0 <= idx < s):
-            raise StructuralError(f"generator index out of range in {token!r}")
-        out.append(idx + (s if token[0] == "G" else 0))
-    return np.asarray(out, dtype=np.int64)
 
 
 class Scenery:

@@ -9,14 +9,13 @@ construction: their arrays are read-only.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 
 import numpy as np
 # loaded with filtlab: numpy would load it lazily inside the first np.unique call
 import numpy.ma  # noqa: F401
 
-from .errors import DegenerateBlockError, StructuralError
+from .errors import StructuralError
 
 MEASURE_TOL = 1e-12  # absolute tolerance on total mass; inputs outside are rejected
 _SYM_TOL = 1e-12
@@ -59,25 +58,6 @@ class SemimetricMatrix:
     def size(self) -> int:
         return self.d.shape[0]
 
-    def scaled(self, t: float) -> "SemimetricMatrix":
-        if t < 0:
-            raise StructuralError("scale factor must be nonnegative")
-        return SemimetricMatrix(self.d * t)
-
-    def to_json(self) -> str:
-        """Serialize as ``{"type": "semimetric", "size": n, "d": [[...], ...]}``."""
-        return json.dumps({"type": "semimetric", "size": self.size, "d": self.d.tolist()})
-
-    @classmethod
-    def from_json(cls, text: str) -> "SemimetricMatrix":
-        obj = json.loads(text)
-        if obj.get("type") != "semimetric":
-            raise StructuralError("not a semimetric JSON document")
-        d = np.asarray(obj["d"], dtype=float)
-        if d.shape != (obj["size"], obj["size"]):
-            raise StructuralError("semimetric JSON size field does not match matrix")
-        return cls(d)
-
 
 @dataclass(frozen=True)
 class DiscreteMeasure:
@@ -115,20 +95,6 @@ class DiscreteMeasure:
             raise StructuralError(f"atom {i} is outside 0..{n - 1}")
         w = np.zeros(n)
         w[i] = 1.0
-        return cls(w)
-
-    def to_json(self) -> str:
-        """Serialize as ``{"type": "measure", "size": n, "w": [...]}``."""
-        return json.dumps({"type": "measure", "size": self.size, "w": self.w.tolist()})
-
-    @classmethod
-    def from_json(cls, text: str) -> "DiscreteMeasure":
-        obj = json.loads(text)
-        if obj.get("type") != "measure":
-            raise StructuralError("not a measure JSON document")
-        w = np.asarray(obj["w"], dtype=float)
-        if w.shape != (obj["size"],):
-            raise StructuralError("measure JSON size field does not match vector")
         return cls(w)
 
 
@@ -235,18 +201,17 @@ class SemimetricReport:
     symmetric: bool
     triangle: bool
     first_triangle_violation: tuple | None
-    checked_triangle: bool
 
     @property
     def valid(self) -> bool:
         return self.zero_diagonal and self.symmetric and self.triangle
 
 
-def validate_semimetric(d, check_triangle: bool = True) -> SemimetricReport:
+def validate_semimetric(d) -> SemimetricReport:
     """Check the semimetric invariants of a raw square matrix.
 
-    Reports pass/fail for zero diagonal, symmetry and (optionally, it costs
-    O(n^3)) the triangle inequality, listing the first violating (i, j, k) with
+    Reports pass/fail for zero diagonal, symmetry and the triangle inequality
+    (it costs O(n^3)), listing the first violating (i, j, k) with
     d[i,j] > d[i,k] + d[k,j].  Non-square or negative input raises
     :class:`StructuralError`.
     """
@@ -259,7 +224,7 @@ def validate_semimetric(d, check_triangle: bool = True) -> SemimetricReport:
     symmetric = bool(np.max(np.abs(d - d.T)) <= _SYM_TOL) if d.size else True
     triangle = True
     violation = None
-    if check_triangle and symmetric:
+    if symmetric:
         n = d.shape[0]
         for k in range(n):
             # d[i,j] <= d[i,k] + d[k,j] for all i, j
@@ -274,27 +239,7 @@ def validate_semimetric(d, check_triangle: bool = True) -> SemimetricReport:
         symmetric=symmetric,
         triangle=triangle,
         first_triangle_violation=violation,
-        checked_triangle=check_triangle,
     )
-
-
-def conditional_measure(mu: DiscreteMeasure, xi: Partition, block: int) -> DiscreteMeasure:
-    """Restrict mu to one block of xi and renormalize by the block mass.
-
-    Raises :class:`DegenerateBlockError` when the block carries no mass (the
-    conditional measure is undefined on a null block).
-    """
-    if mu.size != xi.size:
-        raise StructuralError("measure and partition sizes differ")
-    if not (0 <= block < xi.n_blocks) or block != int(block):
-        raise StructuralError(f"block index {block} is not a block of the partition")
-    members = np.flatnonzero(xi.block_of == block)
-    mass = float(np.sum(mu.w[members]))
-    if mass <= 0.0:
-        raise DegenerateBlockError(f"block {block} has zero mass")
-    w = np.zeros(mu.size)
-    w[members] = mu.w[members] / mass
-    return DiscreteMeasure(w)
 
 
 def block_masses(mu: DiscreteMeasure, xi: Partition) -> np.ndarray:
@@ -321,14 +266,3 @@ def partition_entropy(mu: DiscreteMeasure, gamma: Partition) -> float:
     """Shannon entropy (bits) of the block masses of gamma under mu."""
     return _entropy_bits(block_masses(mu, gamma))
 
-
-def partition_rokhlin_distance(mu: DiscreteMeasure, gamma1: Partition, gamma2: Partition) -> float:
-    """H(g1|g2) + H(g2|g1) in bits; zero iff the partitions agree mod null blocks."""
-    if gamma1.size != gamma2.size or gamma1.size != mu.size:
-        raise StructuralError("partitions must live on the same space as the measure")
-    joint = np.zeros((gamma1.n_blocks, gamma2.n_blocks))
-    np.add.at(joint, (gamma1.block_of, gamma2.block_of), mu.w)
-    h_joint = _entropy_bits(joint.ravel())
-    h1 = _entropy_bits(joint.sum(axis=1))
-    h2 = _entropy_bits(joint.sum(axis=0))
-    return (h_joint - h2) + (h_joint - h1)

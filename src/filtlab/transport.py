@@ -43,14 +43,6 @@ class Coupling:
     def size(self) -> int:
         return self.q.shape[0]
 
-    def marginal_error(self, mu: DiscreteMeasure, nu: DiscreteMeasure) -> float:
-        row = np.abs(self.q.sum(axis=1) - mu.w).max()
-        col = np.abs(self.q.sum(axis=0) - nu.w).max()
-        return float(max(row, col))
-
-    def cost(self, d: SemimetricMatrix) -> float:
-        return float(np.sum(self.q * d.d))
-
 
 def _canonical_order(w: np.ndarray, rows: np.ndarray) -> np.ndarray:
     """Order support atoms by a relabeling-invariant key (weight, distance profile)."""

@@ -242,15 +242,11 @@ def orbit_partition(
     r: int,
     alphabet_size: int,
     word_measure: DiscreteMeasure,
-    label_of: np.ndarray | None = None,
 ) -> OrbitPartition:
     """Partition all alphabet^(r^n) leaf words into automorphism orbits.
 
     Words are indexed big-endian: word w maps to sum w_i * k^(leaves-1-i).
-    `label_of`, of shape (alphabet_size,), optionally maps alphabet symbols to
-    coarser labels before orbits are taken (words are still indexed by the
-    raw alphabet); only the order of its values matters.  Returns the
-    partition together with its entropy under `word_measure`.
+    Returns the partition together with its entropy under `word_measure`.
 
     Orbits are built by height over every subword of r^h leaves: a subword's
     class is the rank (:func:`_rank_rows`) of its sorted child classes, each
@@ -267,15 +263,10 @@ def orbit_partition(
         raise SizeCapError(f"{n_words} words exceed the enumeration cap {ORBIT_WORD_CAP}")
     if word_measure.size != n_words:
         raise StructuralError(f"word measure must have {n_words} atoms")
-    if label_of is None:
-        label_of = np.arange(alphabet_size)
-    label_of = np.asarray(label_of, dtype=np.int64)
-    if label_of.shape != (alphabet_size,):
-        raise StructuralError(f"label_of must have shape ({alphabet_size},), got {label_of.shape}")
 
     # table[w]: class of subword w at the current height, ranked in the
-    # lexicographic order of its sorted child classes (labels at height 0)
-    _, table = np.unique(label_of, return_inverse=True)
+    # lexicographic order of its sorted child classes (symbols at height 0)
+    table = np.arange(alphabet_size, dtype=np.int64)
     exponents = np.arange(r - 1, -1, -1, dtype=np.int64)
     for _ in range(n):
         size = len(table)

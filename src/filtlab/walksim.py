@@ -389,10 +389,11 @@ def mean_distance_profile(
     return estimates[::-1]
 
 
-def wilson_interval(successes: int, trials: int, z: float = 1.96) -> tuple[float, float]:
-    """95% (by default) Wilson score interval for a binomial fraction."""
+def wilson_interval(successes: int, trials: int) -> tuple[float, float]:
+    """95% Wilson score interval (z = 1.96) for a binomial fraction."""
     if not 0 <= successes <= trials or trials <= 0:
         raise StructuralError(f"need 0 <= successes <= trials and trials >= 1, got {successes}, {trials}")
+    z = 1.96
     phat = successes / trials
     denom = 1 + z**2 / trials
     center = (phat + z**2 / (2 * trials)) / denom

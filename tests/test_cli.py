@@ -2,6 +2,7 @@ import hashlib
 import json
 import math
 import re
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -158,8 +159,11 @@ class TestConfigValidation:
             ("standardness", "seed", True),
             ("standardness", "group", {"kind": "free", "s": 2.5}),
             ("standardness", "group", {"kind": "free", "s": True}),
+            ("standardness", "version", True),
+            ("standardness", "version", 1.0),
         ],
-        ids=["walk-list", "output-text", "seed-bool", "group-s-fraction", "group-s-bool"],
+        ids=["walk-list", "output-text", "seed-bool", "group-s-fraction", "group-s-bool", "version-bool",
+             "version-float"],
     )
     def test_top_level_value_invalid_exit_2(self, tmp_path, capsys, experiment, key, value):
         cfg = {
@@ -434,6 +438,22 @@ class TestRun:
         }
         path = write_config(tmp_path, cfg)
         assert main(["run", str(path), "--out-dir", str(tmp_path)]) == 0
+
+    def test_meeting_draws_only_the_steps_it_reads(self, tmp_path):
+        # at h 2 the diagnostic reads 2^5 = 32 steps of each walk, whatever the cap
+        rows = {}
+        for cap in (32, 10**7):
+            cfg = meeting_config("meet", {"kind": "heisenberg"}, 1.0, 3)
+            cfg["meeting"].update(h=2, cap=cap)
+            tracemalloc.start()
+            try:
+                csv_path, _ = run_experiment(cfg, out_dir=str(tmp_path / str(cap)))
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak < 8 * 2**20
+            rows[cap] = [l for l in csv_path.read_text().splitlines() if not l.startswith("#")]
+        assert rows[10**7] == rows[32]
 
 
 class TestCompare:

@@ -562,31 +562,16 @@ class TestScalingFamily:
         fam = ScalingFamily(form="exponential", radices=(2, 2, 3))
         assert fam.evaluate(0.1, 3) == 12.0
 
-    @pytest.mark.parametrize("form", ["power", "exponential", "table"])
+    @pytest.mark.parametrize("form", ["power", "exponential"])
     @pytest.mark.parametrize("epsilon, n", [(2.0, 3), (1.0, 3), (0.0, 3), (-0.5, 3), (0.25, 0)])
     def test_evaluate_outside_domain_raises(self, form, epsilon, n):
-        fam = ScalingFamily(form=form, beta=1.5, radices=(2, 2, 2), table={(epsilon, n): 1.0})
+        fam = ScalingFamily(form=form, beta=1.5, radices=(2, 2, 2))
         with pytest.raises(DomainError, match=rf"\(epsilon={epsilon!r}, n={n!r}\)"):
             fam.evaluate(epsilon, n)
 
-    def test_grid_validation(self):
-        fam = ScalingFamily(form="power", beta=1.0)
-        assert fam.validate_on_grid([0.1, 0.2, 0.3], [1, 2, 3, 4])
-        bad = ScalingFamily(form="power", beta=0.0)  # constant in n
-        assert not bad.validate_on_grid([0.1, 0.2], [1, 2, 3])
-
-    def test_strict_equivalence(self):
-        base = ScalingFamily(form="power", beta=1.0)
-        table = {
-            (eps, n): base.evaluate(eps, n) * (1 + 1.0 / n)
-            for eps in (0.1, 0.2, 0.3)
-            for n in range(1, 129)
-        }
-        near = ScalingFamily(form="table", table=table)
-        levels = list(range(1, 129))
-        assert base.strictly_equivalent(near, [0.1, 0.2, 0.3], levels)
-        far = ScalingFamily(form="power", beta=2.0)
-        assert not base.strictly_equivalent(far, [0.1, 0.2, 0.3], levels)
+    def test_unknown_form_is_rejected(self):
+        with pytest.raises(StructuralError, match="'powr'"):
+            ScalingFamily(form="powr")
 
 
 class TestScaledEntropyEval:
@@ -623,12 +608,13 @@ class TestScaledEntropyEval:
         levels = list(range(1, 129))
         epsilons = (0.05, 0.1, 0.2)
         table = {(eps, n): 2.5 * fam.evaluate(eps, n) for eps in epsilons for n in levels}
-        near = ScalingFamily(
-            form="table",
-            table={(eps, n): fam.evaluate(eps, n) * (1 + 1.0 / n) for eps in epsilons for n in levels},
-        )
+
+        class Near:  # c * (1 + 1/n)
+            def evaluate(self, eps, n):
+                return fam.evaluate(eps, n) * (1 + 1.0 / n)
+
         h1 = scaled_entropy_eval(table, fam).h
-        h2 = scaled_entropy_eval(table, near).h
+        h2 = scaled_entropy_eval(table, Near()).h
         assert abs(h1 - h2) / h1 < 0.01
 
     def test_insufficient_grid(self):

@@ -191,7 +191,7 @@ class TestMeanDistance:
         mu = DiscreteMeasure.uniform(4)
         chain = PartitionChain(4, (Partition.from_blocks(4, [[0, 1], [2, 3]]),))
         lv = iterate_semimetric(discrete_metric(4), mu, chain)[0]
-        assert mean_distance(lv.matrix, lv.quotient_measure()) == pytest.approx(0.5, abs=1e-12)
+        assert mean_distance(lv.matrix, DiscreteMeasure(lv.block_mass)) == pytest.approx(0.5, abs=1e-12)
 
 
 class TestDyadicBernoulliChain:

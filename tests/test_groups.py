@@ -9,14 +9,13 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from filtlab.errors import SizeCapError, StructuralError, UnsupportedGroupError
+from filtlab.errors import SizeCapError, StructuralError
 from filtlab.groups import (
     HEISENBERG_EXACT_NORM_CAP,
     DictScenery,
     GroupElement,
     GroupSpec,
     Scenery,
-    generator,
     identity,
     inverse,
     _heisenberg_bounds,
@@ -29,7 +28,6 @@ from filtlab.groups import (
     sample_increments,
     step_rows,
     symbol_element,
-    weighted_rank,
     word_norm,
     word_norm_bounds,
 )
@@ -61,7 +59,7 @@ class TestArithmetic:
 
     def test_free_reduction(self):
         spec = GroupSpec.free(2)
-        a = generator(spec, 0)
+        a = symbol_element(spec, 0)
         assert multiply(a, inverse(a)).data == ()
 
     def test_heisenberg_commutator_is_central_generator(self):
@@ -238,19 +236,6 @@ class TestWordNorm:
             assert word_norm(inverse(a)) == na
 
 
-class TestWeightedRank:
-    def test_lattice(self):
-        assert weighted_rank(GroupSpec.lattice(3)) == 3
-        assert weighted_rank(GroupSpec.lattice(1)) == 1
-
-    def test_heisenberg(self):
-        assert weighted_rank(GroupSpec.heisenberg()) == 4
-
-    def test_free_refused(self):
-        with pytest.raises(UnsupportedGroupError):
-            weighted_rank(GroupSpec.free(2))
-
-
 class TestSampleIncrements:
     def test_deterministic(self):
         spec = GroupSpec.free(2)
@@ -286,23 +271,6 @@ class TestSampleIncrements:
                     norms.append(np.abs(pos).sum())
                 ratio = np.mean(norms) / np.sqrt(n)
                 assert 0.3 * np.sqrt(d) < ratio < 3 * np.sqrt(d)
-
-
-class TestSymbolStrings:
-    def test_roundtrip(self):
-        from filtlab.groups import string_to_symbols, symbols_to_string
-
-        spec = GroupSpec.free(2)
-        symbols = sample_increments(spec, 12, seed=3)
-        text = symbols_to_string(spec, symbols)
-        assert set(text.split()) <= {"g1", "g2", "G1", "G2"}
-        assert np.array_equal(string_to_symbols(spec, text), symbols)
-
-    def test_bad_token(self):
-        from filtlab.groups import string_to_symbols
-
-        with pytest.raises(StructuralError):
-            string_to_symbols(GroupSpec.lattice(1), "g1 h2")
 
 
 class TestScenery:

@@ -3,22 +3,15 @@ import math
 import numpy as np
 import pytest
 
-from filtlab.errors import DegenerateBlockError, StructuralError
+from filtlab.errors import StructuralError
 from filtlab.mmspace import (
     DiscreteMeasure,
     Partition,
     PartitionChain,
     SemimetricMatrix,
-    block_masses,
-    conditional_measure,
     partition_entropy,
-    partition_rokhlin_distance,
     validate_semimetric,
 )
-
-
-def discrete_metric(n):
-    return SemimetricMatrix(1.0 - np.eye(n))
 
 
 class TestValidateSemimetric:
@@ -45,10 +38,6 @@ class TestValidateSemimetric:
     def test_negative_raises(self):
         with pytest.raises(StructuralError):
             validate_semimetric([[0, -1], [-1, 0]])
-
-    def test_skip_triangle(self):
-        report = validate_semimetric([[0, 1], [1, 0]], check_triangle=False)
-        assert not report.checked_triangle
 
 
 class TestTypes:
@@ -183,68 +172,6 @@ class TestTypes:
     def test_partition_accepts_integral_floats(self):
         assert Partition(np.array([1.0, 0.0, 1.0])).block_of.tolist() == [1, 0, 1]
 
-    def test_json_roundtrip(self):
-        d = discrete_metric(3)
-        mu = DiscreteMeasure([0.2, 0.3, 0.5])
-        assert np.array_equal(SemimetricMatrix.from_json(d.to_json()).d, d.d)
-        assert np.array_equal(DiscreteMeasure.from_json(mu.to_json()).w, mu.w)
-
-
-class TestConditionalMeasure:
-    def test_uniform_block(self):
-        mu = DiscreteMeasure.uniform(4)
-        xi = Partition.from_blocks(4, [[0, 1], [2, 3]])
-        cond = conditional_measure(mu, xi, 0)
-        assert np.allclose(cond.w, [0.5, 0.5, 0.0, 0.0])
-
-    def test_renormalizes_by_block_mass(self):
-        mu = DiscreteMeasure([0.1, 0.3, 0.6])
-        xi = Partition.from_blocks(3, [[0, 1], [2]])
-        cond = conditional_measure(mu, xi, 0)
-        assert np.allclose(cond.w, [0.25, 0.75, 0.0])
-
-    def test_singleton_block_is_delta(self):
-        mu = DiscreteMeasure([0.1, 0.3, 0.6])
-        xi = Partition.singletons(3)
-        for i in range(3):
-            cond = conditional_measure(mu, xi, i)
-            assert cond.w[i] == 1.0
-
-    def test_null_block_raises(self):
-        mu = DiscreteMeasure([0.0, 1.0])
-        xi = Partition.singletons(2)
-        with pytest.raises(DegenerateBlockError):
-            conditional_measure(mu, xi, 0)
-
-    def test_non_integral_block_is_structural(self):
-        mu = DiscreteMeasure.uniform(4)
-        xi = Partition.from_blocks(4, [[0, 1], [2, 3]])
-        with pytest.raises(StructuralError):
-            conditional_measure(mu, xi, 1.5)
-        assert np.array_equal(conditional_measure(mu, xi, 1.0).w, [0.0, 0.0, 0.5, 0.5])
-
-    def test_law_of_total_measure(self):
-        rng = np.random.default_rng(7)
-        for _ in range(50):
-            n = int(rng.integers( 2, 9))
-            w = rng.random(n)
-            mu = DiscreteMeasure(w / w.sum())
-            _, labels = np.unique(rng.integers(0, int(rng.integers(1, n + 1)), size=n), return_inverse=True)
-            xi = Partition(labels)
-            masses = block_masses(mu, xi)
-            recombined = np.zeros(n)
-            for b in range(xi.n_blocks):
-                if masses[b] > 0:
-                    recombined += masses[b] * conditional_measure(mu, xi, b).w
-            assert np.allclose(recombined, mu.w, atol=1e-12)
-            for b in range(xi.n_blocks):
-                if masses[b] > 0:
-                    cond = conditional_measure(mu, xi, b).w
-                    assert abs(cond.sum() - 1.0) <= 1e-12
-                    outside = np.ones(n, dtype=bool)
-                    outside[list(xi.blocks[b])] = False
-                    assert np.all(cond[outside] == 0.0)
-
 
 class TestPartitionEntropy:
     def test_uniform_singletons(self):
@@ -276,38 +203,3 @@ class TestPartitionEntropy:
             gamma = Partition(labels)
             assert partition_entropy(mu, gamma) <= np.log2(gamma.n_blocks) + 1e-12
 
-
-class TestRokhlinDistance:
-    def test_identical_partitions(self):
-        mu = DiscreteMeasure.uniform(4)
-        g = Partition.from_blocks(4, [[0, 1], [2, 3]])
-        assert partition_rokhlin_distance(mu, g, g) == 0.0
-
-    def test_singletons_vs_trivial_two_points(self):
-        mu = DiscreteMeasure.uniform(2)
-        d = partition_rokhlin_distance(mu, Partition.singletons(2), Partition.trivial(2))
-        assert d == pytest.approx(1.0, abs=1e-12)
-
-    def test_independent_halves(self):
-        mu = DiscreteMeasure.uniform(4)
-        g1 = Partition.from_blocks(4, [[0, 1], [2, 3]])
-        g2 = Partition.from_blocks(4, [[0, 2], [1, 3]])
-        assert partition_rokhlin_distance(mu, g1, g2) == pytest.approx(2.0, abs=1e-12)
-
-    def test_symmetry_and_triangle(self):
-        rng = np.random.default_rng(11)
-        for _ in range(200):
-            n = int(rng.integers(2, 9))
-            w = rng.random(n)
-            mu = DiscreteMeasure(w / w.sum())
-            parts = []
-            for _ in range(3):
-                _, labels = np.unique(rng.integers(0, int(rng.integers(1, n + 1)), n), return_inverse=True)
-                parts.append(Partition(labels))
-            a, b, c = parts
-            dab = partition_rokhlin_distance(mu, a, b)
-            dba = partition_rokhlin_distance(mu, b, a)
-            assert dab == pytest.approx(dba, abs=1e-10)
-            dac = partition_rokhlin_distance(mu, a, c)
-            dcb = partition_rokhlin_distance(mu, c, b)
-            assert dab <= dac + dcb + 1e-9

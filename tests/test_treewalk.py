@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from filtlab.errors import SizeCapError, StructuralError
-from filtlab.mmspace import DiscreteMeasure, Partition, SemimetricMatrix, partition_rokhlin_distance
+from filtlab.mmspace import DiscreteMeasure, Partition, SemimetricMatrix, partition_entropy
 from filtlab.treewalk import (
     TreeLeafSystem,
     apply_automorphism,
@@ -187,62 +187,42 @@ class TestOrbitPartition:
         with pytest.raises(SizeCapError):
             orbit_partition(5, 4, 2, DiscreteMeasure.uniform(2))
 
-    @pytest.mark.parametrize(
-        "n, r, k, label_of",
-        [(1, 3, 3, None), (2, 2, 3, None), (3, 2, 2, None), (2, 3, 2, None), (2, 2, 3, [5, -7, 5]),
-         (0, 2, 3, [4, -1, 4])],
-    )
-    def test_blocks_match_enumerated_orbits(self, n, r, k, label_of):
+    @pytest.mark.parametrize("n, r, k", [(1, 3, 3), (2, 2, 3), (3, 2, 2), (2, 3, 2), (0, 2, 3)])
+    def test_blocks_match_enumerated_orbits(self, n, r, k):
         from filtlab.treewalk import _enumerate_automorphisms
 
         leaves = r**n
-        symbols = np.arange(k) if label_of is None else np.unique(label_of, return_inverse=True)[1]
         words = np.array(list(itertools.product(range(k), repeat=leaves)))  # big-endian order
         powers = k ** np.arange(leaves - 1, -1, -1)
-        # two words share an orbit iff their least label codes over all automorphisms agree
-        least = np.min([symbols[words[:, perm]] @ powers for perm in _enumerate_automorphisms((r,) * n)], axis=0)
-        block_of = orbit_partition(n, r, k, iid_word_measure(k, leaves), label_of=label_of).partition.block_of
+        # two words share an orbit iff their least codes over all automorphisms agree
+        least = np.min([words[:, perm] @ powers for perm in _enumerate_automorphisms((r,) * n)], axis=0)
+        block_of = orbit_partition(n, r, k, iid_word_measure(k, leaves)).partition.block_of
         pairs = np.unique(np.stack([block_of, least]), axis=1).shape[1]
         assert pairs == len(np.unique(block_of)) == len(np.unique(least))
 
-    @pytest.mark.parametrize("label_of", [[0], [0, 1, 2], [[0, 1]], np.zeros(0)])
-    def test_label_map_shape_checked(self, label_of):
-        with pytest.raises(StructuralError):
-            orbit_partition(1, 2, 2, iid_word_measure(2, 2), label_of=label_of)
-
-    def test_label_map_values_only_matter_up_to_rank(self):
-        mu = iid_word_measure(3, 4)
-        ranked = orbit_partition(2, 2, 3, mu, label_of=[0, 2, 1])
-        for label_of in ([-2, 0, -1], [-(1 << 40), 1 << 50, 0]):
-            other = orbit_partition(2, 2, 3, mu, label_of=label_of)
-            assert np.array_equal(ranked.partition.block_of, other.partition.block_of)
-            assert ranked.entropy_bits == other.entropy_bits
-
-    def test_label_map_coarsens(self):
-        # mapping both symbols to one label collapses everything to one orbit
-        mu = iid_word_measure(2, 2)
-        result = orbit_partition(1, 2, 2, mu, label_of=np.array([0, 0]))
-        assert result.orbit_count == 1
-
     def test_continuity_under_alphabet_partition(self):
-        # normalized orbit entropies move by at most the Rokhlin distance of
-        # the two alphabet partitions under the symbol measure
+        # normalized orbit entropies of two coarsenings of an i.i.d. alphabet
+        # move by at most the Rokhlin distance 2 H(g1 v g2) - H(g1) - H(g2)
+        # of the two alphabet partitions under the symbol measure
         rng = np.random.default_rng(6)
         for _ in range(15):
             k0 = int(rng.integers(2, 5))
             probs = rng.random(k0) + 0.1
             probs /= probs.sum()
-            g1 = rng.integers(0, 2, k0)
-            g2 = rng.integers(0, 3, k0)
             symbol_mu = DiscreteMeasure(probs)
-            _, l1 = np.unique(g1, return_inverse=True)
-            _, l2 = np.unique(g2, return_inverse=True)
-            rok = partition_rokhlin_distance(symbol_mu, Partition(l1), Partition(l2))
+            _, l1 = np.unique(rng.integers(0, 2, k0), return_inverse=True)
+            _, l2 = np.unique(rng.integers(0, 3, k0), return_inverse=True)
+            join = Partition(np.unique(l1 * k0 + l2, return_inverse=True)[1])
+            rok = 2 * partition_entropy(symbol_mu, join) - sum(
+                partition_entropy(symbol_mu, Partition(l)) for l in (l1, l2)
+            )
             for n, r in [(1, 2), (2, 2), (1, 3)]:
                 leaves = r**n
-                mu = iid_word_measure(k0, leaves, probs)
-                h1 = orbit_partition(n, r, k0, mu, label_of=g1).entropy_bits / leaves
-                h2 = orbit_partition(n, r, k0, mu, label_of=g2).entropy_bits / leaves
+                # the coarsened words are i.i.d. under the pushed-forward symbol measure
+                h1, h2 = (
+                    orbit_partition(n, r, len(p), iid_word_measure(len(p), leaves, p)).entropy_bits / leaves
+                    for p in (np.bincount(l1, probs), np.bincount(l2, probs))
+                )
                 assert abs(h1 - h2) <= rok + 1e-9
 
 
